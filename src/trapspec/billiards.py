@@ -41,7 +41,6 @@ class ClosedGeodesic:
     parity: str  # "even" | "odd"
     basepoint: np.ndarray
     direction: np.ndarray
-    conical: bool = False
     diffractive: bool = False
     multiplicity: int = 1  # 1 = prime orbit, m = m-fold traversal
     translation: np.ndarray | None = None  # band only
@@ -60,7 +59,7 @@ class ClosedGeodesic:
             "length": self.length,
             "kind": self.kind,
             "parity": self.parity,
-            "conical": self.conical,
+            "conical": False,  # conical chains are ConicalChain records
             "diffractive": self.diffractive,
             "multiplicity": self.multiplicity,
             "width": self.width,
@@ -205,7 +204,6 @@ class _Enumerator:
             self._dfs(
                 word=(first,),
                 m=self.reflections[first],
-                segments=[seg],
                 # identity copy is CCW: interior left of v0->v1
                 lhull=[(seg[1][0], seg[1][1])],
                 rhull=[(seg[0][0], seg[0][1])],
@@ -217,13 +215,13 @@ class _Enumerator:
             )
         return orbits
 
-    def _dfs(self, word, m, segments, lhull, rhull):
+    def _dfs(self, word, m, lhull, rhull):
         self.nodes += 1
         if self.nodes > self.node_budget:
             self.complete = False
             return
         if len(word) >= 2:
-            self._try_close(word, m, segments, lhull, rhull)
+            self._try_close(word, m, lhull, rhull)
         if len(word) >= self.period_max:
             return
         m_prev = m
@@ -248,23 +246,22 @@ class _Enumerator:
             self._dfs(
                 word + (j,),
                 m_prev.compose(self.reflections[j]),
-                segments + [seg],
                 new_lhull,
                 new_rhull,
             )
 
-    def _try_close(self, word, m, segments, lhull, rhull):
+    def _try_close(self, word, m, lhull, rhull):
         if m.parity > 0:
-            self._close_band(word, m, segments, lhull, rhull)
+            self._close_band(word, m, lhull, rhull)
         else:
-            self._close_glide(word, m, segments, lhull, rhull)
+            self._close_glide(word, m, lhull, rhull)
 
     def _record(self, geo: ClosedGeodesic):
         key = (_canonical_word(geo.word), round(geo.length / (1e-9 * self.scale)))
         if key not in self.found:
             self.found[key] = geo
 
-    def _close_band(self, word, m, segments, lhull, rhull):
+    def _close_band(self, word, m, lhull, rhull):
         if np.max(np.abs(m.a - np.eye(2))) > 1e-9:
             return  # a proper rotation has no invariant line
         tau = m.t
@@ -279,7 +276,7 @@ class _Enumerator:
             return  # degenerate corridor; vertex chains handle it
         c = 0.5 * (s_l + s_r)
         n_hat = np.array([-d[1], d[0]])
-        base = _line_segment_point(c * n_hat, d, segments[0][0], segments[0][1])
+        base = _line_segment_point(c * n_hat, d, *self.edges[word[0]])
         if base is None:
             return
         self._record(
@@ -297,7 +294,7 @@ class _Enumerator:
             )
         )
 
-    def _close_glide(self, word, m, segments, lhull, rhull):
+    def _close_glide(self, word, m, lhull, rhull):
         # reflection part: mirror direction u; glide vector a*u along the axis
         u = np.array(
             [math.cos(0.5 * math.atan2(m.a[1, 0], m.a[0, 0])),
@@ -314,7 +311,7 @@ class _Enumerator:
         s_r = max(cross2(d, (p[0] - p0[0], p[1] - p0[1])) for p in rhull)
         if s_l < tol or s_r > -tol:
             return  # axis misses a mirror or grazes a vertex (conical case)
-        base = _line_segment_point(p0, d, segments[0][0], segments[0][1])
+        base = _line_segment_point(p0, d, *self.edges[word[0]])
         if base is None:
             return
         self._record(
@@ -542,8 +539,6 @@ def poincare_map(polygon: Polygon, geodesic: ClosedGeodesic) -> PoincareData:
     the edge tangent. Central finite differences at two step sizes must agree
     to 1e-3 or the derivative is rejected.
     """
-    if geodesic.conical:
-        raise DomainError("Poincare map is undefined for conical orbits")
     edges = polygon.edges()
     e0 = geodesic.word[0]
     a, b = edges[e0]

@@ -108,7 +108,7 @@ def _cmd_orbits(args) -> int:
     _write("\n".join(lines) + "\n", args.out)
     if args.svg is not None:
         poly = _domain_polygon(domain) if not isinstance(domain, Polygon) else domain
-        orbits = billiards.enumerate_orbits(poly, args.lmax, period_max=args.period_max)
+        orbits = [o for _, group in spec.entries for o in group]
         Path(args.svg).write_text(billiards.render_svg(poly, orbits))
     return 0
 
@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectra, invariants, billiard orbits, and reconstruction "
         "for non-obtuse trapezoids.",
     )
-    p.add_argument("--workers", type=int, default=1, help="worker count (advisory)")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("spectrum", help="compute a Laplace spectrum")

@@ -12,7 +12,7 @@ import heapq
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,9 +52,6 @@ class Spectrum:
     @property
     def count(self) -> int:
         return len(self.eigenvalues)
-
-    def weyl_area_estimate(self) -> float:
-        return 4 * math.pi * self.count / self.eigenvalues[-1]
 
     # ---- persistence -----------------------------------------------------
 
@@ -294,45 +291,7 @@ def compute_spectrum(
     the relative size of that correction. Levels too coarse to represent n
     modes are dropped automatically.
     """
-    if not polygon.is_convex():
-        raise DomainError("polygon must be convex")
-    if bc not in (DIRICHLET, NEUMANN):
-        raise DomainError(f"unknown boundary condition {bc!r}")
-    if n > MAX_EIGENVALUES:
-        raise DomainError(f"n exceeds the configured cap {MAX_EIGENVALUES}")
-    edges = polygon.edges()
-    shortest = float(np.min(np.linalg.norm(edges[:, 1] - edges[:, 0], axis=1)))
-    if mesh_size is None:
-        mesh_size = shortest / 8.0
-    if mesh_size > shortest / 8.0 + 1e-12:
-        raise MeshError("mesh_size must resolve the shortest edge by >= 8 elements")
-    if refine_levels < 1:
-        raise DomainError("refine_levels must be >= 1")
-
-    coarse_h = mesh_size * 2 ** (refine_levels - 1)
-    mesh = triangulate(polygon, coarse_h)
-    meshes = [mesh]
-    for _ in range(refine_levels - 1):
-        mesh = refine_uniform(mesh, polygon)
-        meshes.append(mesh)
-
-    area, perim = polygon.area, polygon.perimeter
-    per_level: list[np.ndarray] = []
-    used_meshes: list[Mesh] = []
-    for m in meshes:
-        K, M = assemble_p1(m)
-        if bc == DIRICHLET:
-            K, M = _restrict_dirichlet(K, M, m.boundary_mask)
-        else:
-            K, M = K.tocsc(), M.tocsc()
-        if K.shape[0] < int(1.25 * n) + 5:
-            continue  # too coarse to represent n modes; drop from extrapolation
-        per_level.append(lowest_eigenvalues(K, M, n, area, perim, bc))
-        used_meshes.append(m)
-
-    if not per_level:
-        raise MeshError("no refinement level had enough degrees of freedom")
-
+    per_level = level_eigenvalues(polygon, bc, n, mesh_size, refine_levels)
     fine = per_level[-1]
     if len(per_level) >= 2:
         coarse = per_level[-2]
@@ -360,16 +319,38 @@ def level_eigenvalues(
     polygon: Polygon,
     bc: str,
     n: int,
-    mesh_size: float,
+    mesh_size: float | None,
     refine_levels: int,
 ) -> list[np.ndarray]:
-    """Raw per-level eigenvalues (no extrapolation), for convergence studies."""
+    """Raw eigenvalues of each usable refinement level, coarsest first.
+
+    Triangulates at mesh_size * 2**(refine_levels - 1), refines uniformly
+    down to mesh_size (default: a shortest-edge / 8 element), then assembles,
+    restricts and solves every level. Levels with too few degrees of freedom
+    to represent n modes are skipped; MeshError when none is left.
+    """
+    if not polygon.is_convex():
+        raise DomainError("polygon must be convex")
+    if bc not in (DIRICHLET, NEUMANN):
+        raise DomainError(f"unknown boundary condition {bc!r}")
+    if n > MAX_EIGENVALUES:
+        raise DomainError(f"n exceeds the configured cap {MAX_EIGENVALUES}")
+    edges = polygon.edges()
+    shortest = float(np.min(np.linalg.norm(edges[:, 1] - edges[:, 0], axis=1)))
+    if mesh_size is None:
+        mesh_size = shortest / 8.0
+    if mesh_size > shortest / 8.0 + 1e-12:
+        raise MeshError("mesh_size must resolve the shortest edge by >= 8 elements")
+    if refine_levels < 1:
+        raise DomainError("refine_levels must be >= 1")
+
     coarse_h = mesh_size * 2 ** (refine_levels - 1)
     mesh = triangulate(polygon, coarse_h)
     meshes = [mesh]
     for _ in range(refine_levels - 1):
         mesh = refine_uniform(mesh, polygon)
         meshes.append(mesh)
+
     out = []
     for m in meshes:
         K, M = assemble_p1(m)
@@ -377,5 +358,9 @@ def level_eigenvalues(
             K, M = _restrict_dirichlet(K, M, m.boundary_mask)
         else:
             K, M = K.tocsc(), M.tocsc()
+        if K.shape[0] < int(1.25 * n) + 5:
+            continue  # too coarse to represent n modes
         out.append(lowest_eigenvalues(K, M, n, polygon.area, polygon.perimeter, bc))
+    if not out:
+        raise MeshError("no refinement level had enough degrees of freedom")
     return out

@@ -21,9 +21,11 @@ from scipy.optimize import brentq, minimize_scalar
 from .billiards import length_spectrum
 from .errors import (
     AmbiguousClassification,
+    BudgetExceeded,
     DomainError,
     InconsistentInvariants,
     InvariantMismatch,
+    NoiseFloor,
     NonUniqueSolution,
     NoSolution,
 )
@@ -44,7 +46,6 @@ from .wave_trace import (
     estimate_order,
     scan_peaks,
 )
-from .errors import NoiseFloor
 
 F_MIN = 4.0 / math.pi**2  # minimum of F(x) = 1/(x(pi-x)) on (0, pi/2]
 
@@ -511,11 +512,15 @@ def _invariant_residuals(trap: Trapezoid, A: float, L: float, q: float) -> dict:
 
 
 def _unmatched_peaks(trap: Trapezoid, peaks, lmax: float, tol: float, period_max: int):
-    """Observed peak times with no enumerated orbit length within tol."""
+    """Observed peak times with no enumerated orbit length within tol.
+
+    When the enumeration exhausts its budget, peaks are scored against the
+    orbits it found before stopping.
+    """
     try:
         lengths = length_spectrum(trap, lmax + tol, period_max=period_max).lengths
-    except Exception:
-        lengths = np.array([])
+    except BudgetExceeded as exc:
+        lengths = np.array([o.length for o in exc.partial])
     out = []
     for c in peaks:
         if len(lengths) == 0 or np.min(np.abs(lengths - c.t0)) > tol:

@@ -1,4 +1,10 @@
-"""Small planar geometry kit: isometries, hulls, separation and distance tests."""
+"""Small planar geometry kit for billiard unfolding.
+
+Isometries compose edge reflections. The hull, separating-axis and
+segment-distance helpers work on plain (x, y) tuples and scalars, because
+the orbit search calls them at every node; the crossing and point-segment
+tests serve the generalized-diagonal search.
+"""
 
 from __future__ import annotations
 
@@ -50,60 +56,6 @@ class Isometry:
     @property
     def parity(self) -> int:
         return 1 if self.det > 0 else -1
-
-
-def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull, counterclockwise; handles degenerate inputs."""
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
-    if len(pts) <= 2:
-        return pts
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and cross2(out[-1] - out[-2], p - out[-2]) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    return np.array(hull) if len(hull) >= 2 else pts[:1]
-
-
-def hulls_disjoint(pts_a: np.ndarray, pts_b: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when the convex hulls of two point sets do not overlap.
-
-    Separating-axis test over the edge normals of both hulls plus the
-    point-difference axes of degenerate (0/1-d) hulls.
-    """
-    ha, hb = convex_hull(pts_a), convex_hull(pts_b)
-    axes = []
-    for h in (ha, hb):
-        if len(h) >= 2:
-            e = np.roll(h, -1, axis=0) - h
-            axes.append(np.column_stack([-e[:, 1], e[:, 0]]))
-    if len(ha) == 1 and len(hb) == 1:
-        return bool(np.linalg.norm(ha[0] - hb[0]) > tol)
-    if len(ha) == 1 or len(hb) == 1:
-        # point vs segment/polygon also needs the edge directions as axes
-        h = hb if len(ha) == 1 else ha
-        e = np.roll(h, -1, axis=0) - h
-        axes.append(e)
-    for ax_block in axes:
-        for ax in ax_block:
-            n = np.linalg.norm(ax)
-            if n == 0:
-                continue
-            ax = ax / n
-            pa = pts_a @ ax
-            pb = pts_b @ ax
-            if pa.min() > pb.max() + tol or pb.min() > pa.max() + tol:
-                return True
-    return False
 
 
 def _hull_pts(points):
@@ -171,11 +123,6 @@ def hulls_separated(ha, hb, tol: float = 1e-12) -> bool:
     return False
 
 
-def hulls_disjoint_pts(pa, pb, tol: float = 1e-12) -> bool:
-    """Hull separation test over raw lists of (x, y) tuples."""
-    return hulls_separated(_hull_pts(pa), _hull_pts(pb), tol)
-
-
 def seg_dist_pts(a0x, a0y, a1x, a1y, b0x, b0y, b1x, b1y) -> float:
     """Scalar segment-to-segment distance (pure Python, for tight loops)."""
 
@@ -201,36 +148,6 @@ def seg_dist_pts(a0x, a0y, a1x, a1y, b0x, b0y, b1x, b1y) -> float:
         pt_seg(b0x, b0y, a0x, a0y, a1x, a1y),
         pt_seg(b1x, b1y, a0x, a0y, a1x, a1y),
     )
-
-
-def segment_distance(a0, a1, b0, b1) -> float:
-    """Euclidean distance between two closed segments."""
-    d1 = a1 - a0
-    d2 = b1 - b0
-    r = a0 - b0
-    a = d1 @ d1
-    e = d2 @ d2
-    f = d2 @ r
-    if a <= 1e-30 and e <= 1e-30:
-        return float(np.linalg.norm(r))
-    if a <= 1e-30:
-        s, t = 0.0, np.clip(f / e, 0.0, 1.0)
-    else:
-        c = d1 @ r
-        if e <= 1e-30:
-            t, s = 0.0, np.clip(-c / a, 0.0, 1.0)
-        else:
-            b = d1 @ d2
-            denom = a * e - b * b
-            s = np.clip((b * f - c * e) / denom, 0.0, 1.0) if denom > 1e-30 else 0.0
-            t = (b * s + f) / e
-            if t < 0.0:
-                t, s = 0.0, np.clip(-c / a, 0.0, 1.0)
-            elif t > 1.0:
-                t, s = 1.0, np.clip((b - c) / a, 0.0, 1.0)
-    closest1 = a0 + s * d1
-    closest2 = b0 + t * d2
-    return float(np.linalg.norm(closest1 - closest2))
 
 
 def point_segment_distance(p, a, b) -> float:

@@ -17,14 +17,13 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NoiseFloor, WindowOverlapWarning
 from .eigensolver import Spectrum
 
-ORDER_CLAMP = (-3.0, 1.5)
 CLASS_MARGIN = 0.25
 AMBIGUITY_BAND = 0.05  # distance to a class boundary that triggers "ambiguous"
 DEFAULT_SIGMA_CAP = 0.15
@@ -52,7 +51,6 @@ class SingularityCandidate:
     amplitude: float  # |I| at the reference frequency
     estimated_order: float | None = None
     order_ci: float | None = None
-    clamped: bool = False
     matched_orbit: str | None = None
 
     def to_dict(self) -> dict:
@@ -61,21 +59,9 @@ class SingularityCandidate:
             "amplitude": self.amplitude,
             "order": self.estimated_order,
             "orderCi": self.order_ci,
-            "clamped": self.clamped,
+            "clamped": False,  # kept for format stability; orders are never clamped
             "matchedOrbit": self.matched_orbit,
         }
-
-
-@dataclass
-class OrderTable:
-    """Expected singularity orders per orbit class."""
-
-    band: float = 0.5  # 2h family, C_{m,n} families, isosceles 2h_alpha
-    isolated: float = 0.0  # odd-period non-conical orbits (Fagnano), 2h_alpha at alpha=pi/2
-    diffractive: float = -0.5  # 2h_alpha with distinct base angles; 2mb caps at -m/2
-
-    def two_mb_cap(self, m: int) -> float:
-        return -0.5 * m
 
 
 def candidates_json(candidates) -> str:
@@ -225,18 +211,7 @@ def estimate_order(
     return float(slope), float(2 * se)
 
 
-def clamp_order(a: float) -> tuple[float, bool]:
-    lo, hi = ORDER_CLAMP
-    if a < lo:
-        return lo, True
-    if a > hi:
-        return hi, True
-    return a, False
-
-
-def classify_candidate(
-    candidate: SingularityCandidate, table: OrderTable | None = None
-) -> str:
+def classify_candidate(candidate: SingularityCandidate) -> str:
     """Orbit-class label from the estimated order.
 
     Returns "band" (a > 0.25), "isolated" (|a| <= 0.25), "diffractive"

@@ -47,6 +47,34 @@ class TestSpectrumCommand:
         main(["spectrum", square_json, "--exact", "--n", "30", "--out", str(a)])
         main(["spectrum", square_json, "--exact", "--n", "30", "--out", str(b)])
         assert a.read_text() == b.read_text()
+        assert '"workers"' not in a.read_text()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbits", "{square}", "--lmax", "3", "--svg", "{side}"],
+            ["orbits", "{trap}", "--lmax", "3", "--period-max", "8", "--svg", "{side}"],
+            ["wavetrace", "{square_csv}", "--t-lo", "1.5", "--t-hi", "3.5",
+             "--probe-t0", "2.0", "--probe-out", "{side}"],
+            ["reconstruct", "{square_csv}"],
+            ["compare", "{trap}", "{trap}"],
+        ],
+        ids=["orbits-square", "orbits-trap", "wavetrace", "reconstruct", "compare"],
+    )
+    def test_other_subcommands_deterministic(
+        self, argv, square_json, trap_json, square_spectrum_csv, tmp_path
+    ):
+        runs = []
+        for name in ("a", "b"):
+            side = tmp_path / f"{name}.side"
+            paths = {"square": square_json, "trap": trap_json,
+                     "square_csv": square_spectrum_csv, "side": str(side)}
+            out = tmp_path / f"{name}.out"
+            rc = main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+            assert rc == 0
+            runs.append((out.read_text(), side.read_text() if side.exists() else None))
+        assert runs[0] == runs[1]
+        assert '"workers"' not in runs[0][0]
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         rc = main(["spectrum", str(tmp_path / "nope.json")])

@@ -108,6 +108,25 @@ class TestFemOracles:
             compute_spectrum(UNIT_SQUARE, DIRICHLET, n=5, mesh_size=0.5)
 
 
+class TestLevelLadder:
+    def test_rejects_non_convex(self):
+        dart = Polygon(np.array([[0, 0], [2, 0], [1, 0.5], [1, 2]], dtype=float))
+        with pytest.raises(DomainError):
+            level_eigenvalues(dart, DIRICHLET, 5, 0.05, 2)
+
+    def test_rejects_too_coarse_mesh_size(self):
+        with pytest.raises(MeshError):
+            level_eigenvalues(UNIT_SQUARE, DIRICHLET, 5, 0.5, 1)
+
+    def test_compute_spectrum_extrapolates_last_two_levels(self):
+        # the h = 1/4 level has 10 interior nodes, too few for 10 modes
+        levels = level_eigenvalues(UNIT_SQUARE, DIRICHLET, 10, 1 / 16, 3)
+        assert len(levels) == 2
+        coarse, fine = levels
+        s = compute_spectrum(UNIT_SQUARE, DIRICHLET, n=10, mesh_size=1 / 16, refine_levels=3)
+        assert np.array_equal(s.eigenvalues, np.sort(fine + (fine - coarse) / 3.0))
+
+
 class TestMesh:
     def test_refinement_quadruples_triangles(self):
         m = triangulate(UNIT_SQUARE, 0.25)

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from trapspec import inverse
+from trapspec.billiards import ClosedGeodesic
 from trapspec.eigensolver import exact_rectangle_spectrum
 from trapspec.errors import (
+    BudgetExceeded,
     DomainError,
     InconsistentInvariants,
     NonUniqueSolution,
@@ -29,6 +32,7 @@ from trapspec.inverse import (
     solve_from_h_and_lf,
     solve_from_lf_halpha,
 )
+from trapspec.wave_trace import SingularityCandidate
 
 PI = math.pi
 
@@ -337,6 +341,32 @@ class TestScanAndReconstruct:
         s = exact_rectangle_spectrum(1, 1, 600)
         report = scan_and_reconstruct(s, cfg)
         assert report.config["minEigenvalues"] == 500
+
+
+class TestUnmatchedPeaks:
+    TRAP = new_trapezoid(B=2, h=1, alpha=math.radians(75), beta=math.radians(60))
+    PEAKS = [SingularityCandidate(t0=2.001, amplitude=1.0),
+             SingularityCandidate(t0=3.5, amplitude=1.0)]
+
+    def test_budget_exceeded_scores_partial_orbits(self, monkeypatch):
+        orbit = ClosedGeodesic(
+            word=(0, 2), length=2.0, kind="band", parity="even",
+            basepoint=np.zeros(2), direction=np.array([0.0, 1.0]),
+        )
+
+        def exhausted(*args, **kwargs):
+            raise BudgetExceeded("budget exhausted", partial=[orbit])
+
+        monkeypatch.setattr(inverse, "length_spectrum", exhausted)
+        assert inverse._unmatched_peaks(self.TRAP, self.PEAKS, 4.0, 0.05, 12) == [3.5]
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise DomainError("broken enumeration")
+
+        monkeypatch.setattr(inverse, "length_spectrum", broken)
+        with pytest.raises(DomainError):
+            inverse._unmatched_peaks(self.TRAP, self.PEAKS, 4.0, 0.05, 12)
 
 
 class TestIsospectralConsistency:

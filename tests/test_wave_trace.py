@@ -6,7 +6,6 @@ import pytest
 from trapspec.eigensolver import DIRICHLET, Spectrum, exact_rectangle_spectrum
 from trapspec.errors import DomainError, NoiseFloor, WindowOverlapWarning
 from trapspec.wave_trace import (
-    OrderTable,
     SingularityCandidate,
     candidates_json,
     classify_candidate,
@@ -129,13 +128,6 @@ class TestClassification:
     def test_requires_order(self):
         with pytest.raises(DomainError):
             classify_candidate(SingularityCandidate(t0=2.0, amplitude=1.0))
-
-    def test_order_table(self):
-        table = OrderTable()
-        assert table.band == 0.5
-        assert table.isolated == 0.0
-        assert table.diffractive == -0.5
-        assert table.two_mb_cap(3) == -1.5
 
     def test_default_sigma(self):
         assert default_sigma(None) == 0.15
