@@ -4,7 +4,8 @@ Reflection words are unfolded into the plane; a word supports a closed
 geodesic when the composed isometry is a pure translation (even parity, a
 band of parallel orbits) or a glide reflection whose axis threads every
 unfolded mirror (odd parity, an isolated orbit). Conical geodesics — chains
-running vertex to vertex, possibly along an edge — are searched separately.
+running vertex to vertex, possibly along an edge — come from the same word
+search started at a vertex instead of an edge.
 """
 
 from __future__ import annotations
@@ -17,15 +18,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DerivativeInstability, DomainError
 from .geometry import Polygon, Trapezoid, vertices
-from .planar import (
-    Isometry,
-    _hull_pts,
-    cross2,
-    hulls_separated,
-    point_segment_distance,
-    seg_dist_pts,
-    segments_cross,
-)
+from .planar import Isometry, _hull_pts, cross2, hulls_separated, seg_dist_pts
 
 DEFAULT_PERIOD_MAX = 24
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -178,10 +171,33 @@ def _pi_over_n(angle: float, diameter_tol: float = 1e-7) -> bool:
     return False
 
 
+def _clears(px, py, dx, dy, lhull, rhull, tol, skip=None) -> bool:
+    """Whether the line through (px, py) along the unit vector (dx, dy) passes
+    every left-hull point on its left and every right-hull point on its right
+    by at least tol; a hull point equal to `skip` is exempt."""
+    for x, y in lhull:
+        if dx * (y - py) - dy * (x - px) < tol and (x, y) != skip:
+            return False
+    for x, y in rhull:
+        if dx * (y - py) - dy * (x - px) > -tol and (x, y) != skip:
+            return False
+    return True
+
+
 class _Enumerator:
-    """Depth-first search over reflection words with corridor-beam pruning."""
+    """Depth-first search over reflection words with corridor-beam pruning.
+
+    The walk starts from an edge (closed orbits: every corridor line crosses
+    it) or from a vertex (generalized diagonals: the vertex sits in both
+    hulls, so every corridor line passes through it). Each node hands its
+    word, isometry, hulls and mapped mirror endpoints to a visit step.
+    """
 
     def __init__(self, polygon: Polygon, lmax: float, period_max: int, node_budget: int):
+        if lmax <= 0:
+            raise DomainError("lmax must be positive")
+        if period_max > 64:
+            raise DomainError("period_max above the configured cap")
         self.polygon = polygon
         self.lmax = lmax
         self.period_max = period_max
@@ -189,68 +205,127 @@ class _Enumerator:
         self.nodes = 0
         self.edges = polygon.edges()
         self.n_edges = len(self.edges)
+        self.endpoints = self.edges.reshape(-1, 2)  # edge k is rows 2k, 2k + 1
         self.reflections = [
             Isometry.reflection(self.edges[k, 0], self.edges[k, 1])
             for k in range(self.n_edges)
         ]
         self.scale = polygon.diameter
-        self.found: dict[tuple, ClosedGeodesic] = {}
+        self.tol = _VERTEX_TOL * self.scale
+        self.found: dict[tuple, ClosedGeodesic | ConicalChain] = {}
         self.complete = True
 
     def run(self) -> list[ClosedGeodesic]:
+        self._start, self._visit = None, self._try_close
         for first in range(self.n_edges):
-            seg = self.edges[first]
-            self._s1 = (seg[0][0], seg[0][1], seg[1][0], seg[1][1])
-            self._dfs(
-                word=(first,),
-                m=self.reflections[first],
-                # identity copy is CCW: interior left of v0->v1
-                lhull=[(seg[1][0], seg[1][1])],
-                rhull=[(seg[0][0], seg[0][1])],
-            )
-        orbits = sorted(self.found.values(), key=lambda g: (g.length, g.word))
+            (ax, ay), (bx, by) = self.edges[first].tolist()
+            self._s1 = (ax, ay, bx, by)
+            # identity copy is CCW: interior left of v0->v1
+            self._dfs((first,), self.reflections[first], [(bx, by)], [(ax, ay)])
+        return self._result(key=lambda g: (g.length, g.word))
+
+    def diagonals(self) -> list[ConicalChain]:
+        """Vertex-to-vertex chains from every vertex, after the on-edge orbits."""
+        angles = self.polygon.interior_angles()
+        edges, nv, lmax = self.edges, self.n_edges, self.lmax
+        for k in range(nv):
+            a1, a2 = angles[k], angles[(k + 1) % nv]
+            if a1 >= math.pi / 2 - 1e-12 and a2 >= math.pi / 2 - 1e-12:
+                elen = float(np.linalg.norm(edges[k, 1] - edges[k, 0]))
+                diff = not (_pi_over_n(a1) and _pi_over_n(a2))
+                m = 1
+                while 2 * m * elen <= lmax * (1 + 1e-12):
+                    self.found[("edge", k, m)] = ConicalChain(
+                        vertex_start=k,
+                        vertex_end=(k + 1) % nv,
+                        word=(k,),
+                        length=2 * m * elen,
+                        closed=True,
+                        on_boundary=True,
+                        diffractive=diff,
+                    )
+                    m += 1
+        self._rational = [_pi_over_n(a) for a in angles]
+        self._visit = self._try_vertex
+        for vi, (px, py) in enumerate(self.polygon.vertices.tolist()):
+            self._start, self._vi = (px, py), vi
+            self._s1 = (px, py, px, py)
+            self._dfs((), Isometry.identity(), [(px, py)], [(px, py)])
+        return self._result(key=lambda c: (c.length, c.vertex_start))
+
+    def _result(self, key) -> list:
+        out = sorted(self.found.values(), key=key)
         if not self.complete:
             raise BudgetExceeded(
-                f"word-tree budget of {self.node_budget} nodes exhausted", partial=orbits
+                f"word-tree budget of {self.node_budget} nodes exhausted", partial=out
             )
-        return orbits
+        return out
 
     def _dfs(self, word, m, lhull, rhull):
         self.nodes += 1
         if self.nodes > self.node_budget:
             self.complete = False
             return
-        if len(word) >= 2:
-            self._try_close(word, m, lhull, rhull)
+        pts = m(self.endpoints).tolist()
+        self._visit(word, m, lhull, rhull, pts)
         if len(word) >= self.period_max:
             return
-        m_prev = m
-        sgn = m_prev.parity
+        sgn = m.parity
         neg_tol = -1e-9 * self.scale
+        last = word[-1] if word else -1
+        start = self._start
         for j in range(self.n_edges):
-            if j == word[-1]:
+            if j == last:
                 continue
-            seg = m_prev(self.edges[j])
-            if (
-                seg_dist_pts(*self._s1, seg[0][0], seg[0][1], seg[1][0], seg[1][1])
-                > self.lmax
+            p0, p1 = pts[2 * j], pts[2 * j + 1]
+            if seg_dist_pts(*self._s1, *p0, *p1) > self.lmax:
+                continue
+            if start is not None and (
+                math.hypot(p0[0] - start[0], p0[1] - start[1]) < self.tol
+                or math.hypot(p1[0] - start[0], p1[1] - start[1]) < self.tol
             ):
-                continue
+                continue  # mirror through the start vertex: no interior crossing
             # crossing orientation flips with the copy's parity
-            p0, p1 = (seg[0][0], seg[0][1]), (seg[1][0], seg[1][1])
-            lp, rp = (p1, p0) if sgn > 0 else (p0, p1)
+            lp, rp = (tuple(p1), tuple(p0)) if sgn > 0 else (tuple(p0), tuple(p1))
             new_lhull = _hull_pts(lhull + [lp])
             new_rhull = _hull_pts(rhull + [rp])
             if not hulls_separated(new_lhull, new_rhull, neg_tol):
                 continue  # no directed line threads all mirrors
-            self._dfs(
-                word + (j,),
-                m_prev.compose(self.reflections[j]),
-                new_lhull,
-                new_rhull,
-            )
+            self._dfs(word + (j,), m.compose(self.reflections[j]), new_lhull, new_rhull)
 
-    def _try_close(self, word, m, lhull, rhull):
+    def _try_vertex(self, word, m, lhull, rhull, pts):
+        # a chain ends at vertex q of this copy when the line p -> q passes
+        # every other hull point by at least tol on its side
+        px, py = p = self._start
+        vi = self._vi
+        for vj in range(self.n_edges):
+            qx, qy = pts[2 * vj]
+            dx, dy = qx - px, qy - py
+            dist = math.hypot(dx, dy)
+            if dist < self.tol or dist > self.lmax * (1 + 1e-12):
+                continue
+            if not _clears(px, py, dx / dist, dy / dist, lhull, rhull, self.tol, skip=p):
+                continue
+            # lengths are numpy norms, which can differ from hypot in the last bit
+            length = float(np.linalg.norm((dx, dy)))
+            key = (
+                tuple(sorted((vi, vj))),
+                min(word, word[::-1]),
+                round(length / (1e-9 * self.scale)),
+            )
+            if key not in self.found:
+                self.found[key] = ConicalChain(
+                    vertex_start=vi,
+                    vertex_end=vj,
+                    word=word,
+                    length=length,
+                    closed=(vj == vi),
+                    diffractive=not (self._rational[vi] and self._rational[vj]),
+                )
+
+    def _try_close(self, word, m, lhull, rhull, pts):
+        if len(word) < 2:
+            return
         if m.parity > 0:
             self._close_band(word, m, lhull, rhull)
         else:
@@ -306,10 +381,7 @@ class _Enumerator:
         n_hat = np.array([-u[1], u[0]])
         p0 = (0.5 * float(m.t @ n_hat)) * n_hat  # point on the glide axis
         d = u if a > 0 else -u
-        tol = _VERTEX_TOL * self.scale
-        s_l = min(cross2(d, (p[0] - p0[0], p[1] - p0[1])) for p in lhull)
-        s_r = max(cross2(d, (p[0] - p0[0], p[1] - p0[1])) for p in rhull)
-        if s_l < tol or s_r > -tol:
+        if not _clears(*p0.tolist(), *d.tolist(), lhull, rhull, self.tol):
             return  # axis misses a mirror or grazes a vertex (conical case)
         base = _line_segment_point(p0, d, *self.edges[word[0]])
         if base is None:
@@ -340,18 +412,7 @@ def enumerate_orbits(
     Bands are reported once per cyclic word class with their corridor width
     and swept area; m-fold traversals appear with multiplicity m.
     """
-    if lmax <= 0:
-        raise DomainError("lmax must be positive")
-    if period_max > 64:
-        raise DomainError("period_max above the configured cap")
     return _Enumerator(polygon, lmax, period_max, node_budget).run()
-
-
-# ---- generalized diagonals (conical chains) --------------------------------
-
-
-def _rel_angle(ref: np.ndarray, v: np.ndarray) -> float:
-    return math.atan2(cross2(ref, v), float(ref @ v))
 
 
 def find_generalized_diagonals(
@@ -366,124 +427,7 @@ def find_generalized_diagonals(
     its endpoint angles are at least pi/2; chains that return to their start
     vertex are closed conical geodesics (e.g. the doubled altitude orbits).
     """
-    if lmax <= 0:
-        raise DomainError("lmax must be positive")
-    verts = polygon.vertices
-    nv = len(verts)
-    edges = polygon.edges()
-    angles = polygon.interior_angles()
-    scale = polygon.diameter
-    tol = _VERTEX_TOL * scale
-    chains: dict[tuple, ConicalChain] = {}
-
-    # on-edge orbits
-    for k in range(nv):
-        a1, a2 = angles[k], angles[(k + 1) % nv]
-        if a1 >= math.pi / 2 - 1e-12 and a2 >= math.pi / 2 - 1e-12:
-            elen = float(np.linalg.norm(edges[k, 1] - edges[k, 0]))
-            diff = not (_pi_over_n(a1) and _pi_over_n(a2))
-            m = 1
-            while 2 * m * elen <= lmax * (1 + 1e-12):
-                chains[("edge", k, m)] = ConicalChain(
-                    vertex_start=k,
-                    vertex_end=(k + 1) % nv,
-                    word=(k,),
-                    length=2 * m * elen,
-                    closed=True,
-                    on_boundary=True,
-                    diffractive=diff,
-                )
-                m += 1
-
-    reflections = [Isometry.reflection(edges[k, 0], edges[k, 1]) for k in range(nv)]
-    budget = [node_budget]
-
-    def dfs(vi, p, word, m_iso, segs, lo, hi, ref):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExceeded(
-                "diagonal search budget exhausted",
-                partial=sorted(chains.values(), key=lambda c: c.length),
-            )
-        depth = len(word)
-        # endpoint candidates: vertices of the current copy
-        imgs = m_iso(verts)
-        for vj in range(nv):
-            q = imgs[vj]
-            dq = q - p
-            dist = float(np.linalg.norm(dq))
-            if dist < tol or dist > lmax * (1 + 1e-12):
-                continue
-            if ref is not None:
-                ang = _rel_angle(ref, dq)
-                if ang < lo - 1e-12 or ang > hi + 1e-12:
-                    continue
-            ok = True
-            for seg in segs:
-                if segments_cross(p, q, seg[0], seg[1], tol=1e-9) is None:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            diff = not (_pi_over_n(angles[vi]) and _pi_over_n(angles[vj]))
-            key = (
-                tuple(sorted((vi, vj))),
-                min(word, word[::-1]),
-                round(dist / (1e-9 * scale)),
-            )
-            if key not in chains:
-                chains[key] = ConicalChain(
-                    vertex_start=vi,
-                    vertex_end=vj,
-                    word=word,
-                    length=dist,
-                    closed=(vj == vi),
-                    diffractive=diff,
-                )
-        if depth >= period_max:
-            return
-        sgn = m_iso.parity
-        for j in range(nv):
-            if word and j == word[-1]:
-                continue
-            seg = m_iso(edges[j])
-            if point_segment_distance(p, seg[0], seg[1]) > lmax:
-                continue
-            if (
-                np.linalg.norm(seg[0] - p) < tol
-                or np.linalg.norm(seg[1] - p) < tol
-            ):
-                continue  # mirror through the source vertex: no interior crossing
-            lp, rp = (seg[1], seg[0]) if sgn > 0 else (seg[0], seg[1])
-            if not word:
-                new_ref = 0.5 * (seg[0] + seg[1]) - p
-                nr = np.linalg.norm(new_ref)
-                if nr < tol:
-                    continue
-                new_ref = new_ref / nr
-                new_lo = _rel_angle(new_ref, rp - p)
-                new_hi = _rel_angle(new_ref, lp - p)
-            else:
-                new_ref = ref
-                new_lo = max(lo, _rel_angle(ref, rp - p))
-                new_hi = min(hi, _rel_angle(ref, lp - p))
-            if new_lo > new_hi + 1e-12:
-                continue
-            dfs(
-                vi,
-                p,
-                word + (j,),
-                m_iso.compose(reflections[j]),
-                segs + [seg],
-                new_lo,
-                new_hi,
-                new_ref,
-            )
-
-    for vi in range(nv):
-        dfs(vi, verts[vi], (), Isometry.identity(), [], -math.pi, math.pi, None)
-
-    return sorted(chains.values(), key=lambda c: (c.length, c.vertex_start))
+    return _Enumerator(polygon, lmax, period_max, node_budget).diagonals()
 
 
 # ---- Poincare map -----------------------------------------------------------
@@ -575,21 +519,37 @@ def poincare_map(polygon: Polygon, geodesic: ClosedGeodesic) -> PoincareData:
 # ---- length spectrum and shortest orbit -------------------------------------
 
 
+def _searched(search, *args, **kwargs) -> tuple[list, bool]:
+    """A search's results and whether it finished within its node budget."""
+    try:
+        return search(*args, **kwargs), True
+    except BudgetExceeded as exc:
+        return exc.partial, False
+
+
 def length_spectrum(
     trapezoid_or_polygon,
     lmax: float,
     period_max: int = DEFAULT_PERIOD_MAX,
     merge_tol: float = 1e-9,
 ) -> LengthSpectrum:
-    """Merged, sorted lengths of all closed geodesics (conical included)."""
+    """Merged, sorted lengths of all closed geodesics (conical included).
+
+    If either search runs out of budget, both still run and one
+    BudgetExceeded carries the orbits and closed chains found, sorted by
+    length.
+    """
     poly = (
         vertices(trapezoid_or_polygon)
         if isinstance(trapezoid_or_polygon, Trapezoid)
         else trapezoid_or_polygon
     )
-    orbits = list(enumerate_orbits(poly, lmax, period_max=period_max))
-    orbits += [c for c in find_generalized_diagonals(poly, lmax) if c.closed]
+    orbits, orbits_done = _searched(enumerate_orbits, poly, lmax, period_max=period_max)
+    chains, chains_done = _searched(find_generalized_diagonals, poly, lmax)
+    orbits = list(orbits) + [c for c in chains if c.closed]
     orbits.sort(key=lambda o: o.length)
+    if not (orbits_done and chains_done):
+        raise BudgetExceeded("length-spectrum search budget exhausted", partial=orbits)
     spec = LengthSpectrum(tolerance=merge_tol)
     for o in orbits:
         if spec.entries and abs(o.length - spec.entries[-1][0]) <= merge_tol * max(

@@ -2,8 +2,8 @@
 
 Isometries compose edge reflections. The hull, separating-axis and
 segment-distance helpers work on plain (x, y) tuples and scalars, because
-the orbit search calls them at every node; the crossing and point-segment
-tests serve the generalized-diagonal search.
+the reflection-word search calls them at every node, for closed orbits and
+generalized diagonals alike.
 """
 
 from __future__ import annotations
@@ -148,29 +148,3 @@ def seg_dist_pts(a0x, a0y, a1x, a1y, b0x, b0y, b1x, b1y) -> float:
         pt_seg(b0x, b0y, a0x, a0y, a1x, a1y),
         pt_seg(b1x, b1y, a0x, a0y, a1x, a1y),
     )
-
-
-def point_segment_distance(p, a, b) -> float:
-    ab = b - a
-    denom = ab @ ab
-    t = np.clip(((p - a) @ ab) / denom, 0.0, 1.0) if denom > 1e-30 else 0.0
-    return float(np.linalg.norm(p - (a + t * ab)))
-
-
-def segments_cross(p0, p1, q0, q1, tol: float = 0.0):
-    """Intersection parameter pair (s, t) of open segments, or None.
-
-    s parametrizes p0->p1, t parametrizes q0->q1; both must lie in
-    (tol, 1 - tol) for a crossing.
-    """
-    d = p1 - p0
-    e = q1 - q0
-    denom = cross2(d, e)
-    if abs(denom) < 1e-30:
-        return None
-    w = q0 - p0
-    s = cross2(w, e) / denom
-    t = cross2(w, d) / denom
-    if tol < s < 1 - tol and tol < t < 1 - tol:
-        return (float(s), float(t))
-    return None

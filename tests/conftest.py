@@ -16,6 +16,16 @@ REFERENCE_TRAPEZOIDS = [
     dict(B=1.2, h=0.5, alpha=math.radians(85), beta=math.radians(65)),
 ]
 
+# session fixtures that solve N=1500 FEM spectra: minutes of setup
+FEM_FIXTURES = {"flagship_spectrum", "reference_fem_spectra"}
+
+
+def pytest_collection_modifyitems(items):
+    """Mark tests that need a FEM fixture, so `-m "not fem"` skips their setup."""
+    for item in items:
+        if FEM_FIXTURES.intersection(getattr(item, "fixturenames", ())):
+            item.add_marker(pytest.mark.fem)
+
 
 @pytest.fixture(scope="session")
 def flagship_trapezoid():

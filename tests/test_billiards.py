@@ -1,9 +1,11 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from trapspec import billiards
 from trapspec.billiards import (
     ClosedGeodesic,
     ConicalChain,
@@ -24,6 +26,7 @@ from trapspec.geometry import (
     random_trapezoid,
     vertices,
 )
+from trapspec.planar import Isometry
 
 SQUARE = Polygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
 
@@ -173,6 +176,70 @@ class TestGeneralizedDiagonals:
                 abs(c.length - band.length) < 1e-9 * band.length for c in chains
             ), f"band {band.word} length {band.length} has no conical twin"
 
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            SQUARE,
+            vertices(new_trapezoid(B=2, h=1.0, alpha=1.3, beta=0.9)),
+            vertices(new_trapezoid(B=1.7, h=0.8, alpha=1.4, beta=1.0)),
+        ],
+        ids=["square", "trapezoid_a", "trapezoid_b"],
+    )
+    def test_matches_unpruned_brute_force(self, poly):
+        # every word up to period_max, unfolded without pruning: a chain
+        # p -> q counts when it crosses each mirror strictly inside
+        lmax, period_max = 2.5 * poly.diameter, 4
+        verts, edges = poly.vertices, poly.edges()
+        nv = len(verts)
+        scale = poly.diameter
+        brute = set()
+        words = [()] + [
+            w
+            for n in range(1, period_max + 1)
+            for w in itertools.product(range(nv), repeat=n)
+            if all(a != b for a, b in zip(w, w[1:]))
+        ]
+        for word in words:
+            m, mirrors = Isometry.identity(), []
+            for j in word:
+                mirrors.append(m(edges[j]))
+                m = m.compose(Isometry.reflection(edges[j, 0], edges[j, 1]))
+            imgs = m(verts)
+            for vi in range(nv):
+                for vj in range(nv):
+                    dist = float(np.linalg.norm(imgs[vj] - verts[vi]))
+                    if dist < 1e-9 * scale or dist > lmax * (1 + 1e-12):
+                        continue
+                    if all(_crosses(verts[vi], imgs[vj], a, b) for a, b in mirrors):
+                        brute.add(
+                            (
+                                tuple(sorted((vi, vj))),
+                                min(word, word[::-1]),
+                                round(dist / (1e-9 * scale)),
+                            )
+                        )
+        found = {
+            (
+                tuple(sorted((c.vertex_start, c.vertex_end))),
+                min(c.word, c.word[::-1]),
+                round(c.length / (1e-9 * scale)),
+            )
+            for c in find_generalized_diagonals(poly, lmax, period_max=period_max)
+            if not c.on_boundary
+        }
+        assert found == brute
+
+
+def _crosses(p0, p1, q0, q1, tol=1e-9):
+    """Whether open segments p0-p1 and q0-q1 cross with both parameters in (tol, 1 - tol)."""
+    d, e, w = p1 - p0, q1 - q0, q0 - p0
+    denom = d[0] * e[1] - d[1] * e[0]
+    if abs(denom) < 1e-30:
+        return False
+    s = (w[0] * e[1] - w[1] * e[0]) / denom
+    t = (w[0] * d[1] - w[1] * d[0]) / denom
+    return tol < s < 1 - tol and tol < t < 1 - tol
+
 
 class TestTrapezoidPropositions:
     def test_shortest_is_2h_or_2b(self):
@@ -240,9 +307,46 @@ class TestTrapezoidPropositions:
 
 class TestPlumbing:
     def test_budget_exceeded_carries_partial(self):
+        # both searches finish unwinding and sort what they found like a
+        # full result
+        for search, order in (
+            (enumerate_orbits, lambda g: (g.length, g.word)),
+            (find_generalized_diagonals, lambda c: (c.length, c.vertex_start)),
+        ):
+            with pytest.raises(BudgetExceeded) as exc:
+                search(SQUARE, 10.0, node_budget=50)
+            partial = exc.value.partial
+            assert isinstance(partial, list)
+            assert [order(o) for o in partial] == sorted(order(o) for o in partial)
+        assert partial  # the diagonal walk records chains from its first node
+
+    def test_length_spectrum_budget_drops_open_chains(self, monkeypatch):
+        open_chain = ConicalChain(0, 2, (), math.sqrt(2), closed=False)
+        closed_chain = ConicalChain(0, 0, (1, 2), 2.5, closed=True)
+
+        def exhausted(*args, **kwargs):
+            raise BudgetExceeded("budget exhausted", partial=[open_chain, closed_chain])
+
+        orbits = enumerate_orbits(SQUARE, 3.0)
+        monkeypatch.setattr(billiards, "find_generalized_diagonals", exhausted)
         with pytest.raises(BudgetExceeded) as exc:
-            enumerate_orbits(SQUARE, 10.0, node_budget=50)
-        assert isinstance(exc.value.partial, list)
+            length_spectrum(SQUARE, 3.0)
+        expected = sorted(orbits + [closed_chain], key=lambda o: o.length)
+        assert [o.to_dict() for o in exc.value.partial] == [o.to_dict() for o in expected]
+
+    def test_length_spectrum_budget_keeps_closed_chains(self, monkeypatch):
+        orbit = enumerate_orbits(SQUARE, 3.0)[0]
+
+        def exhausted(*args, **kwargs):
+            raise BudgetExceeded("budget exhausted", partial=[orbit])
+
+        closed = [c for c in find_generalized_diagonals(SQUARE, 3.0) if c.closed]
+        assert closed
+        monkeypatch.setattr(billiards, "enumerate_orbits", exhausted)
+        with pytest.raises(BudgetExceeded) as exc:
+            length_spectrum(SQUARE, 3.0)
+        expected = sorted([orbit] + closed, key=lambda o: o.length)
+        assert [o.to_dict() for o in exc.value.partial] == [o.to_dict() for o in expected]
 
     def test_json_lines(self, square_orbits):
         lines = orbits_json_lines(square_orbits).strip().splitlines()
@@ -257,3 +361,9 @@ class TestPlumbing:
     def test_bad_lmax(self):
         with pytest.raises(DomainError):
             enumerate_orbits(SQUARE, -1.0)
+
+    def test_diagonals_share_input_checks(self):
+        with pytest.raises(DomainError):
+            find_generalized_diagonals(SQUARE, -1.0)
+        with pytest.raises(DomainError):
+            find_generalized_diagonals(SQUARE, 1.0, period_max=65)

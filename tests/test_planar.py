@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trapspec.planar import (
-    _hull_pts,
-    hulls_separated,
-    point_segment_distance,
-    seg_dist_pts,
-    segments_cross,
-)
+from trapspec.planar import _hull_pts, hulls_separated, seg_dist_pts
 
 
 class TestHullPts:
@@ -82,38 +76,10 @@ class TestSegDistPts:
         assert seg_dist_pts(0, 0, 1, 0, 3, 0, 4, 0) == pytest.approx(2.0)
 
     def test_degenerate_segment_is_point_distance(self):
-        p = np.array([0.3, 0.7])
-        a, b = np.array([0.0, 0.0]), np.array([1.0, 0.0])
-        assert seg_dist_pts(*p, *p, *a, *b) == pytest.approx(
-            point_segment_distance(p, a, b), abs=1e-15
+        # a zero-length first segment measures point-to-segment distance
+        assert seg_dist_pts(0.3, 0.7, 0.3, 0.7, 0.0, 0.0, 1.0, 0.0) == pytest.approx(
+            0.7, abs=1e-15
         )
-        assert point_segment_distance(np.array([2.0, 1.0]), a, b) == pytest.approx(
+        assert seg_dist_pts(2.0, 1.0, 2.0, 1.0, 0.0, 0.0, 1.0, 0.0) == pytest.approx(
             math.sqrt(2)
         )
-
-
-class TestSegmentsCross:
-    def test_crossing_parameters(self):
-        p0, p1 = np.array([0.0, 0.0]), np.array([2.0, 2.0])
-        q0, q1 = np.array([0.0, 2.0]), np.array([4.0, -2.0])
-        s, t = segments_cross(p0, p1, q0, q1)
-        assert np.allclose(p0 + s * (p1 - p0), q0 + t * (q1 - q0))
-        assert (s, t) == pytest.approx((0.5, 0.25))
-
-    def test_touching_is_not_a_crossing(self):
-        p0, p1 = np.array([0.0, 0.0]), np.array([1.0, 0.0])
-        # shared endpoint
-        assert segments_cross(p0, p1, np.array([1.0, 0.0]), np.array([1.0, 1.0])) is None
-        # endpoint on the other's interior (T junction)
-        assert segments_cross(p0, p1, np.array([0.5, 0.0]), np.array([0.5, 1.0])) is None
-
-    def test_parallel_and_apart(self):
-        p0, p1 = np.array([0.0, 0.0]), np.array([1.0, 0.0])
-        assert segments_cross(p0, p1, np.array([0.0, 1.0]), np.array([1.0, 1.0])) is None
-        assert segments_cross(p0, p1, np.array([2.0, -1.0]), np.array([2.0, 1.0])) is None
-
-    def test_tol_excludes_near_endpoint_crossings(self):
-        p0, p1 = np.array([0.0, 0.0]), np.array([1.0, 0.0])
-        q0, q1 = np.array([0.01, -1.0]), np.array([0.01, 1.0])
-        assert segments_cross(p0, p1, q0, q1) is not None
-        assert segments_cross(p0, p1, q0, q1, tol=0.05) is None
