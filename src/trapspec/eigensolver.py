@@ -2,8 +2,9 @@
 
 The FEM path assembles stiffness/mass matrices on uniformly refined meshes,
 solves the generalized symmetric eigenproblem by shift-invert Lanczos in
-spectrum slices, and Richardson-extrapolates across refinement levels
-assuming second-order eigenvalue convergence.
+inertia-certified spectrum slices (a Sylvester inertia count fixes how many
+eigenvalues each slice must return), and Richardson-extrapolates across
+refinement levels assuming second-order eigenvalue convergence.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -28,6 +30,8 @@ NEUMANN = "Neumann"
 # desk-scale caps
 MAX_EIGENVALUES = 5000
 _EIGSH_SEED = 20240901
+_SLICE_SIZE = 250  # eigenvalues per spectrum slice
+_RITZ_MARGIN = 10  # Ritz values requested beyond a slice's inertia count
 
 
 @dataclass
@@ -196,6 +200,16 @@ def _weyl_lambda(j: float, area: float, perimeter: float, bc: str) -> float:
     return lam
 
 
+def _factor(K: sp.spmatrix, M: sp.spmatrix, s: float):
+    """LU of K - s M and the exact number of eigenvalues of (K, M) below s.
+
+    Diagonal pivots keep the permutation symmetric, so the signs of U's
+    diagonal are the inertia of K - s M (Sylvester's law of inertia).
+    """
+    lu = spla.splu((K - s * M).tocsc(), diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
 def lowest_eigenvalues(
     K: sp.spmatrix,
     M: sp.spmatrix,
@@ -203,74 +217,49 @@ def lowest_eigenvalues(
     area: float,
     perimeter: float,
     bc: str,
-    slice_size: int = 250,
 ) -> np.ndarray:
-    """Lowest n generalized eigenvalues of (K, M) via sliced shift-invert Lanczos.
+    """Lowest n generalized eigenvalues of (K, M) via inertia-certified slices.
 
-    Each slice owns a half-open eigenvalue interval (boundaries from the Weyl
-    counting estimate); a slice is accepted only when the converged Ritz
-    values demonstrably cover beyond both interval endpoints, so no interior
-    eigenvalue can be missed.
+    Slice bounds are Weyl estimates, added until an inertia count shows n
+    eigenvalues below the last one. Shift-invert Lanczos about each slice's
+    midpoint must find exactly its counted eigenvalues, else ConvergenceError.
     """
     ndof = K.shape[0]
     if n > ndof:
         raise ConvergenceError(f"requested {n} eigenvalues but only {ndof} dofs")
-    rng = np.random.default_rng(_EIGSH_SEED)
-    v0 = rng.standard_normal(ndof)
+    if n + _RITZ_MARGIN >= ndof:
+        return sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)[:n]
+    v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(ndof)
 
-    def solve_slice(lo: float, hi: float, expect: float, first: bool) -> np.ndarray:
-        k = min(int(expect * 1.6) + 25, ndof)
-        sigma = 0.5 * (max(lo, 0.0) + hi)
-        for attempt in range(6):
-            if k >= ndof:
-                # tiny problem: converge everything via dense fallback
-                import scipy.linalg as sla
-
-                dense = np.sort(sla.eigh(K.toarray(), M.toarray(), eigvals_only=True))
-                return dense[(dense >= lo) & (dense < hi)]
-            try:
-                vals = spla.eigsh(
-                    K,
-                    k=k,
-                    M=M,
-                    sigma=sigma,
-                    which="LM",
-                    v0=v0[: K.shape[0]],
-                    return_eigenvectors=False,
-                    maxiter=5000,
-                )
-            except RuntimeError:
-                sigma *= 1.0 + 1e-4 * (attempt + 1)  # shift hit an eigenvalue
-                continue
-            vals = np.sort(vals)
-            # accept only when Ritz values demonstrably bracket the interval
-            if (first or np.any(vals < lo)) and np.any(vals > hi):
-                return vals[(vals >= lo) & (vals < hi)]
-            k = int(k * 1.7) + 10
-        raise ConvergenceError(f"slice around sigma={sigma:.3g} failed to cover its interval")
-
-    # interval boundaries at Weyl indices 0, s, 2s, ...
-    n_slices = max(1, int(math.ceil(n / slice_size)))
-    idx_bounds = [i * n / n_slices for i in range(n_slices + 1)]
-    bounds = [-1.0] + [_weyl_lambda(j, area, perimeter, bc) for j in idx_bounds[1:]]
-    bounds[-1] *= 1.15  # head room above the Weyl guess for lambda_n
+    # Weyl index steps of at most _SLICE_SIZE, shortened near n to twice the
+    # shortfall; no eigenvalue lies below -1
+    step = n / max(1, math.ceil(n / _SLICE_SIZE))
+    bounds, counts, j = [-1.0], [0], 0.0
+    while counts[-1] < n:
+        j += min(step, 2 * (n - counts[-1]))
+        bounds.append(_weyl_lambda(j, area, perimeter, bc))
+        counts.append(_factor(K, M, bounds[-1])[1])
 
     collected: list[float] = []
-    for i in range(n_slices):
-        got = solve_slice(bounds[i], bounds[i + 1], n / n_slices, first=(i == 0))
-        collected.extend(got.tolist())
-
-    # top up: discrete eigenvalues sit above their continuum Weyl estimates,
-    # so the last interval may come up short on coarse meshes
-    lo = bounds[-1]
-    while len(collected) < n:
-        hi = lo * 1.3 + 10.0
-        got = solve_slice(lo, hi, max(n - len(collected), slice_size // 4), first=False)
-        collected.extend(got.tolist())
-        lo = hi
-
-    ev = np.sort(np.array(collected))
-    return ev[:n]
+    for lo, hi, want in zip(bounds, bounds[1:], np.diff(counts).tolist()):
+        if want == 0:
+            continue
+        # the `want` eigenvalues nearest the midpoint are exactly those inside
+        sigma = 0.5 * (lo + hi)
+        lu, _ = _factor(K, M, sigma)
+        op = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float)
+        vals = spla.eigsh(
+            K, k=want + _RITZ_MARGIN, M=M, sigma=sigma, which="LM", OPinv=op,
+            v0=v0, return_eigenvectors=False, maxiter=5000,
+        )
+        inside = np.sort(vals[(vals >= lo) & (vals < hi)])
+        if len(inside) != want:
+            raise ConvergenceError(
+                f"slice [{lo:.6g}, {hi:.6g}) holds {want} eigenvalues, Lanczos found {len(inside)}"
+            )
+        collected.extend(inside.tolist())
+        del lu, op  # free this slice's LU before the next is factored: peak memory
+    return np.array(collected)[:n]
 
 
 # ---- public FEM driver -----------------------------------------------------

@@ -25,10 +25,6 @@ class Mesh:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
-    def n_interior(self) -> int:
-        return int(np.sum(~self.boundary_mask))
-
 
 def _boundary_distance(points: np.ndarray, polygon: Polygon) -> np.ndarray:
     """Distance from each point to the polygon boundary (segments)."""
@@ -102,14 +98,14 @@ def triangulate(polygon: Polygon, target_h: float) -> Mesh:
     return mesh
 
 
-def _points_inside(points: np.ndarray, polygon: Polygon, tol: float = 0.0) -> np.ndarray:
+def _points_inside(points: np.ndarray, polygon: Polygon) -> np.ndarray:
     v = polygon.vertices
     a = v
     b = np.roll(v, -1, axis=0)
     ab = b - a
     ap = points[:, None, :] - a[None, :, :]
     cr = ab[None, :, 0] * ap[:, :, 1] - ab[None, :, 1] * ap[:, :, 0]
-    return np.all(cr >= -tol, axis=1)
+    return np.all(cr >= 0.0, axis=1)
 
 
 def _tri_signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:

@@ -134,12 +134,11 @@ def scan_peaks(
     k_ref: float | None = None,
     threshold: float = 5.0,
     known_lengths=None,
-    match_tol: float | None = None,
 ) -> list[SingularityCandidate]:
     """Local maxima of |I(k_ref)| over a t-grid, above threshold x median.
 
     The grid step is sigma/4. When known orbit lengths are supplied each
-    candidate is matched within match_tol (default 2 sigma); unmatched peaks
+    candidate is matched within 2 sigma; unmatched peaks
     keep matched_orbit=None and deserve investigation.
     """
     t_lo, t_hi = t_range
@@ -149,8 +148,6 @@ def scan_peaks(
         return []
     if k_ref is None:
         k_ref = 0.5 * math.sqrt(spectrum.eigenvalues[-1])
-    if match_tol is None:
-        match_tol = 2 * sigma
     step = sigma / 4.0
     ts = np.arange(t_lo, t_hi + step / 2, step)
     amp = _abs_i_on_grid(spectrum, ts, sigma, k_ref)
@@ -165,7 +162,7 @@ def scan_peaks(
             cand = SingularityCandidate(t0=float(t_peak), amplitude=float(amp[i]))
             if known_lengths is not None:
                 best = min(known_lengths, key=lambda length: abs(length - t_peak))
-                if abs(best - t_peak) <= match_tol:
+                if abs(best - t_peak) <= 2 * sigma:
                     cand.matched_orbit = f"{best:.12g}"
             out.append(cand)
     return out
@@ -176,7 +173,6 @@ def estimate_order(
     t0: float,
     sigma: float,
     k_window: tuple[float, float] | None = None,
-    n_samples: int = 30,
 ) -> tuple[float, float]:
     """Singularity order at t0: log-log slope of |I(k)| with its 2-SE interval.
 
@@ -192,7 +188,7 @@ def estimate_order(
         raise DomainError("invalid k_window")
     if lo < 0.1 * k_max - 1e-12 or hi > 0.8 * k_max + 1e-12:
         raise DomainError("k_window must stay within [0.1, 0.8] of sqrt(lambda_N)")
-    ks = np.geomspace(lo, hi, n_samples)
+    ks = np.geomspace(lo, hi, 30)
     amp = np.abs(probe(spectrum, t0, sigma, ks).values)
     k_mid = math.sqrt(lo * hi)
     t_bg = np.linspace(0.5 * t0, 1.5 * t0, 81)

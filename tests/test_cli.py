@@ -58,8 +58,13 @@ class TestSpectrumCommand:
              "--probe-t0", "2.0", "--probe-out", "{side}"],
             ["reconstruct", "{square_csv}"],
             ["compare", "{trap}", "{trap}"],
+            ["spectrum", "{square}", "--n", "20", "--mesh-size", "0.0625",
+             "--refine-levels", "2", "--bc", "D"],
+            ["spectrum", "{square}", "--n", "20", "--mesh-size", "0.0625",
+             "--refine-levels", "2", "--bc", "N"],
         ],
-        ids=["orbits-square", "orbits-trap", "wavetrace", "reconstruct", "compare"],
+        ids=["orbits-square", "orbits-trap", "wavetrace", "reconstruct", "compare",
+             "spectrum-fem-D", "spectrum-fem-N"],
     )
     def test_other_subcommands_deterministic(
         self, argv, square_json, trap_json, square_spectrum_csv, tmp_path

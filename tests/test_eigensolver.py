@@ -2,17 +2,23 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
-from trapspec.errors import DomainError, MeshError
+from trapspec.errors import ConvergenceError, DomainError, MeshError
 from trapspec.eigensolver import (
     DIRICHLET,
     NEUMANN,
     Spectrum,
+    _factor,
+    _restrict_dirichlet,
+    assemble_p1,
     compute_spectrum,
     exact_rectangle_spectrum,
     level_eigenvalues,
+    lowest_eigenvalues,
 )
-from trapspec.geometry import Polygon
+from trapspec.geometry import Polygon, vertices
 from trapspec.mesh import refine_uniform, triangulate
 
 PI2 = math.pi**2
@@ -125,6 +131,88 @@ class TestLevelLadder:
         coarse, fine = levels
         s = compute_spectrum(UNIT_SQUARE, DIRICHLET, n=10, mesh_size=1 / 16, refine_levels=3)
         assert np.array_equal(s.eigenvalues, np.sort(fine + (fine - coarse) / 3.0))
+
+
+@pytest.fixture(
+    params=[
+        ("square", DIRICHLET), ("square", NEUMANN), ("flagship", DIRICHLET), ("flagship", NEUMANN)
+    ],
+    ids=["square-D", "square-N", "flagship-D", "flagship-N"],
+)
+def small_system(request, flagship_trapezoid):
+    """(polygon, bc, K, M, dense eigenvalues) on an h = 0.08 mesh."""
+    shape, bc = request.param
+    poly = UNIT_SQUARE if shape == "square" else vertices(flagship_trapezoid)
+    mesh = triangulate(poly, 0.08)
+    K, M = assemble_p1(mesh)
+    if bc == DIRICHLET:
+        K, M = _restrict_dirichlet(K, M, mesh.boundary_mask)
+    else:
+        K, M = K.tocsc(), M.tocsc()
+    dense = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    return poly, bc, K, M, dense
+
+
+def assert_matches_dense(ev, dense):
+    # the Neumann zero eigenvalue is compared absolutely
+    n = len(ev)
+    assert np.all(np.abs(ev - dense[:n]) <= 1e-9 * np.maximum(np.abs(dense[:n]), 1.0))
+
+
+class TestInertiaSlicing:
+    def test_count_matches_dense(self, small_system):
+        _, _, K, M, dense = small_system
+        # midway between neighbours, and just beside each nonzero eigenvalue;
+        # the mesh splits the square's double eigenvalues into close pairs
+        gaps = np.diff(dense) > 1e-9 * dense[-1]
+        mids = 0.5 * (dense[1:] + dense[:-1])[gaps]
+        nonzero = dense[dense > 1e-6 * dense[-1]]
+        shifts = np.concatenate([mids, nonzero * (1 - 1e-6), nonzero * (1 + 1e-6)])
+        for s in shifts:
+            assert _factor(K, M, s)[1] == np.count_nonzero(dense < s), s
+
+    def test_square_pairs_are_probed(self):
+        mesh = triangulate(UNIT_SQUARE, 0.08)
+        K, M = _restrict_dirichlet(*assemble_p1(mesh), mesh.boundary_mask)
+        dense = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+        # 5 pi^2 is double on the square; on this mesh it is a close pair
+        pair = dense[1:3]
+        assert np.ptp(pair) < 1e-3 * pair[0]
+        assert _factor(K, M, pair.mean())[1] == 2
+
+    def test_lowest_eigenvalues_match_dense(self, small_system):
+        poly, bc, K, M, dense = small_system
+        n = len(dense) // 2
+        ev = lowest_eigenvalues(K, M, n, poly.area, poly.perimeter, bc)
+        assert_matches_dense(ev, dense)
+
+    def test_bounds_extended_when_weyl_falls_short(self, small_system, monkeypatch):
+        poly, bc, K, M, dense = small_system
+        calls = []
+        eigsh = spla.eigsh
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["k"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", counted)
+        n = len(dense) // 2
+        # a fourfold area puts the Weyl guess for lambda_n near lambda_{n/4}
+        ev = lowest_eigenvalues(K, M, n, 4 * poly.area, poly.perimeter, bc)
+        assert_matches_dense(ev, dense)
+        assert len(calls) > 2  # one slice per added bound; the true area needs two
+
+    def test_dropped_ritz_value_is_an_error(self, small_system, monkeypatch):
+        poly, bc, K, M, dense = small_system
+        eigsh = spla.eigsh
+
+        def drop_nearest(*args, **kwargs):
+            vals = eigsh(*args, **kwargs)
+            return np.delete(vals, np.argmin(np.abs(vals - kwargs["sigma"])))
+
+        monkeypatch.setattr(spla, "eigsh", drop_nearest)
+        with pytest.raises(ConvergenceError):
+            lowest_eigenvalues(K, M, len(dense) // 2, poly.area, poly.perimeter, bc)
 
 
 class TestMesh:
