@@ -42,10 +42,6 @@ class ClosedGeodesic:
     axis_point: np.ndarray | None = None  # isolated only
     axis_direction: np.ndarray | None = None
 
-    @property
-    def is_prime(self) -> bool:
-        return self.multiplicity == 1
-
     def to_dict(self) -> dict:
         return {
             "word": list(self.word),
@@ -164,9 +160,9 @@ def _line_segment_point(p0, d, a, b):
     return None
 
 
-def _pi_over_n(angle: float, diameter_tol: float = 1e-7) -> bool:
+def _pi_over_n(angle: float) -> bool:
     for n in range(1, _PI_OVER_N_MAX + 1):
-        if abs(angle - math.pi / n) < diameter_tol:
+        if abs(angle - math.pi / n) < 1e-7:
             return True
     return False
 
@@ -531,7 +527,6 @@ def length_spectrum(
     trapezoid_or_polygon,
     lmax: float,
     period_max: int = DEFAULT_PERIOD_MAX,
-    merge_tol: float = 1e-9,
 ) -> LengthSpectrum:
     """Merged, sorted lengths of all closed geodesics (conical included).
 
@@ -550,9 +545,9 @@ def length_spectrum(
     orbits.sort(key=lambda o: o.length)
     if not (orbits_done and chains_done):
         raise BudgetExceeded("length-spectrum search budget exhausted", partial=orbits)
-    spec = LengthSpectrum(tolerance=merge_tol)
+    spec = LengthSpectrum()
     for o in orbits:
-        if spec.entries and abs(o.length - spec.entries[-1][0]) <= merge_tol * max(
+        if spec.entries and abs(o.length - spec.entries[-1][0]) <= spec.tolerance * max(
             o.length, 1.0
         ):
             spec.entries[-1][1].append(o)
@@ -561,16 +556,12 @@ def length_spectrum(
     return spec
 
 
-def shortest_orbit(trapezoid: Trapezoid, lcap: float | None = None) -> tuple[float, str]:
+def shortest_orbit(trapezoid: Trapezoid) -> tuple[float, str]:
     """Shortest closed geodesic of a trapezoid: always 2h or 2b."""
-    floor = min(2 * trapezoid.h, 2 * trapezoid.b)
-    if lcap is None:
-        lcap = 1.05 * floor
-    if lcap < floor:
-        raise DomainError("lcap below the shortest catalog length")
+    lcap = 1.05 * min(2 * trapezoid.h, 2 * trapezoid.b)
     spec = length_spectrum(trapezoid, lcap, period_max=8)
     if not spec.entries:
-        raise DomainError("no orbit found below lcap")
+        raise DomainError("no orbit found below 1.05 x min(2h, 2b)")
     length, orbits = spec.entries[0]
     o = orbits[0]
     if abs(length - 2 * trapezoid.h) < 1e-9 * max(length, 1.0):
@@ -591,8 +582,9 @@ def orbits_json_lines(orbits) -> str:
     return "\n".join(json.dumps(o.to_dict()) for o in orbits) + ("\n" if orbits else "")
 
 
-def render_svg(polygon: Polygon, orbits, size: int = 400) -> str:
-    """Static SVG of the polygon with closed-orbit base segments overlaid."""
+def render_svg(polygon: Polygon, orbits) -> str:
+    """Static 400 x 400 SVG of the polygon with closed-orbit base segments overlaid."""
+    size = 400
     v = polygon.vertices
     lo = v.min(axis=0)
     hi = v.max(axis=0)

@@ -78,11 +78,15 @@ class Spectrum:
     @classmethod
     def from_csv(cls, text: str) -> "Spectrum":
         lines = text.strip().splitlines()
-        header = lines[0]
+        header = lines[0] if lines else ""
         if not header.startswith("# bc="):
             raise DomainError("missing spectrum header line")
-        bc_tag = header.split("bc=")[1].split()[0]
+        bc_tag = header[len("# bc="):].split(" ", 1)[0]
+        if bc_tag not in ("D", "N"):
+            raise DomainError(f"unknown boundary condition tag bc={bc_tag}")
         bc = DIRICHLET if bc_tag == "D" else NEUMANN
+        if " domain=" not in header:
+            raise DomainError("spectrum header line has no domain= field")
         dom_text = header.split("domain=")[1].rsplit(" accuracy=", 1)[0]
         dom = None
         if dom_text != "null":
@@ -90,6 +94,8 @@ class Spectrum:
         ev = np.array(
             [float(s) for s in lines[1:] if s.strip() and not s.startswith("#")]
         )
+        if len(ev) == 0:
+            raise DomainError("spectrum file lists no eigenvalues")
         return cls(eigenvalues=ev, boundary_condition=bc, source_domain=dom)
 
     def to_json(self) -> str:
@@ -322,8 +328,8 @@ def level_eigenvalues(
         raise DomainError("polygon must be convex")
     if bc not in (DIRICHLET, NEUMANN):
         raise DomainError(f"unknown boundary condition {bc!r}")
-    if n > MAX_EIGENVALUES:
-        raise DomainError(f"n exceeds the configured cap {MAX_EIGENVALUES}")
+    if not 1 <= n <= MAX_EIGENVALUES:
+        raise DomainError(f"n must lie in [1, {MAX_EIGENVALUES}], got {n}")
     edges = polygon.edges()
     shortest = float(np.min(np.linalg.norm(edges[:, 1] - edges[:, 0], axis=1)))
     if mesh_size is None:

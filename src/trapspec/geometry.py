@@ -75,10 +75,6 @@ class Polygon:
         d = np.roll(self.vertices, -1, axis=0) - self.vertices
         return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
     def edges(self) -> np.ndarray:
         """Edge segments as an (n, 2, 2) array; edge k runs v_k -> v_{k+1}."""
         return np.stack([self.vertices, np.roll(self.vertices, -1, axis=0)], axis=1)
@@ -90,10 +86,10 @@ class Polygon:
         ang = np.arctan2(_cross2(nxt, prev), np.einsum("ij,ij->i", nxt, prev))
         return np.where(ang < 0, ang + 2 * math.pi, ang)
 
-    def is_convex(self, tol: float = 1e-12) -> bool:
+    def is_convex(self) -> bool:
         d = np.roll(self.vertices, -1, axis=0) - self.vertices
         cr = _cross2(d, np.roll(d, -1, axis=0))
-        return bool(np.all(cr > -tol * np.max(np.abs(cr))))
+        return bool(np.all(cr > -1e-12 * np.max(np.abs(cr))))
 
     @property
     def diameter(self) -> float:
@@ -357,18 +353,17 @@ def orbit_catalog(t: Trapezoid) -> OrbitCatalog:
 
 def random_trapezoid(
     rng: np.random.Generator,
-    angle_min: float = 0.35,
-    base_range: tuple[float, float] = (0.8, 3.0),
     height_fraction: tuple[float, float] = (0.15, 0.95),
 ) -> Trapezoid:
     """Sample a valid random non-obtuse trapezoid away from degeneracies.
 
     Heights are drawn as a fraction of the largest height keeping b > 0, so
-    every sample is a valid trapezoid.
+    every sample is a valid trapezoid. Angles are at least 0.35 rad and the
+    base lies in [0.8, 3].
     """
-    beta = rng.uniform(angle_min, math.pi / 2)
+    beta = rng.uniform(0.35, math.pi / 2)
     alpha = rng.uniform(beta, math.pi / 2)
-    B = rng.uniform(*base_range)
+    B = rng.uniform(0.8, 3.0)
     cots = _cot(alpha) + _cot(beta)
     h_cap = B / cots if cots > 1e-12 else 2.0 * B
     h = rng.uniform(*height_fraction) * h_cap

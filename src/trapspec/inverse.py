@@ -2,11 +2,20 @@
 
 The pipeline turns the uniqueness proof into a procedure: extract the heat
 invariants (A, L, q), decide rectangle vs trapezoid from q, then walk the
-wave-trace singularities in order of length. The first singularity of order
-+1/2 pins down 2h; an order-0 singularity pins down the Fagnano length l_F,
-after which the window (l_F, 2 l_F) either shows 2h (order +1/2), 2h_alpha
-(order -1/2), or nothing, which forces alpha = pi/2. Each branch reduces to
-monotone one-dimensional root finding in the base angles.
+wave-trace singularities in order of length. One reading step serves the
+whole walk: it classifies candidates in order and stops at the first whose
+label is not the one its pass skips. The first pass skips diffractive
+(2mb-type) lengths: order +1/2 there pins down 2h, order 0 pins down the
+Fagnano length l_F. The window pass over (l_F, 2 l_F) skips unrelated
+isolated orbits and shows 2h (order +1/2), 2h_alpha (order -1/2), or
+nothing, which forces alpha = pi/2. An ambiguous reading runs both branches
+of its pass.
+
+Each height-based branch closes with one angle equation on the level set
+F(alpha) + F(beta) = q, and all of them share one root rule: scan alpha on
+[F^-1(q/2), pi/2] for roots, drop those whose trapezoid is invalid, and let
+a supplied perimeter pick among the rest; without one, two survivors are
+not unique.
 """
 
 from __future__ import annotations
@@ -40,9 +49,9 @@ from .geometry import (
 )
 from .heat_trace import fit_invariants
 from .wave_trace import (
+    DEFAULT_SIGMA,
     SingularityCandidate,
     classify_candidate,
-    default_sigma,
     estimate_order,
     scan_peaks,
 )
@@ -103,7 +112,7 @@ def _beta_from_q(alpha: float, q: float) -> float:
     return corner_f_inverse(v)
 
 
-def _angle_roots(residual, lo: float, hi: float, angle_tol: float, scale: float):
+def _angle_roots(residual, lo: float, hi: float, scale: float):
     """Roots of an angle residual on [lo, hi], plus the best near-miss.
 
     The residuals that arise here are not monotone in alpha: they have a
@@ -113,6 +122,7 @@ def _angle_roots(residual, lo: float, hi: float, angle_tol: float, scale: float)
     where the last two describe the global minimum of |residual| so callers
     with noisy inputs can accept a near-miss within their own tolerance.
     """
+    xtol = 1e-12  # angle resolution of every refinement, radians
     grid = np.linspace(lo, hi, 257)
     vals = [residual(a) for a in grid]
     tol_res = 1e-10 * max(scale, 1.0)
@@ -130,19 +140,19 @@ def _angle_roots(residual, lo: float, hi: float, angle_tol: float, scale: float)
                 j += 1
             a_lo, a_hi = grid[max(i - 1, 0)], grid[min(j + 1, n - 1)]
             if vals[max(i - 1, 0)] * vals[min(j + 1, n - 1)] < 0:
-                roots.append(brentq(residual, a_lo, a_hi, xtol=angle_tol))
+                roots.append(brentq(residual, a_lo, a_hi, xtol=xtol))
             else:
                 # tangential near-zero: locate the minimum of the squared residual
                 r = minimize_scalar(
                     lambda a: residual(a) ** 2,
                     bounds=(a_lo, a_hi),
                     method="bounded",
-                    options={"xatol": angle_tol},
+                    options={"xatol": xtol},
                 )
                 roots.append(float(r.x))
             i = j + 1
         elif i + 1 < n and not flags[i + 1] and vals[i] * vals[i + 1] < 0:
-            roots.append(brentq(residual, grid[i], grid[i + 1], xtol=angle_tol))
+            roots.append(brentq(residual, grid[i], grid[i + 1], xtol=xtol))
             i += 1
         else:
             i += 1
@@ -156,10 +166,101 @@ def _angle_roots(residual, lo: float, hi: float, angle_tol: float, scale: float)
         lambda a: residual(a) ** 2,
         bounds=(a_lo, a_hi),
         method="bounded",
-        options={"xatol": angle_tol},
+        options={"xatol": xtol},
     )
     best_alpha = float(best.x)
     return distinct, best_alpha, abs(residual(best_alpha))
+
+
+def _check_q(q: float) -> None:
+    """Reject angle invariants outside the genuine-trapezoid range."""
+    if q < Q_RECTANGLE - 1e-12:
+        raise DomainError("angle invariant below the rectangle minimum")
+    if q < Q_RECTANGLE + 1e-12:
+        raise NoSolution("rectangle-range angle invariant; use reconstruct_rectangle")
+
+
+def _solve_alpha(
+    residual,
+    q: float,
+    scale: float,
+    A: float,
+    h: float,
+    l_f: float | None = None,
+    l_f_tol: float = 1e-6,
+    L: float | None = None,
+    L_tol: float = 1e-6,
+    near_miss: float = 0.0,
+) -> Trapezoid:
+    """The one angle elimination behind the three height-based solvers.
+
+    residual(alpha, beta) is scanned along the level set F(alpha) + F(beta)
+    = q for alpha in [F^-1(q/2), pi/2]. When the scan finds no root and
+    near_miss > 0, the residual-minimizing alpha is taken if its miss is
+    within near_miss * max(|scale|, 1). Roots whose trapezoid is invalid
+    (b <= 0, bad parameters, or a Fagnano length other than the supplied
+    l_f) are dropped; NoSolution carries the last one's reason. With L, the
+    candidate nearest that perimeter wins: InconsistentInvariants when even
+    it misses by more than L_tol (relative), NonUniqueSolution when the
+    runner-up is within 10x its miss. Without L, two candidates are
+    NonUniqueSolution.
+    """
+    roots, best_alpha, best_miss = _angle_roots(
+        lambda a: residual(a, _beta_from_q(a, q)),
+        corner_f_inverse(q / 2.0),  # isosceles end of the alpha range
+        math.pi / 2,
+        scale,
+    )
+    if not roots and near_miss > 0 and best_miss <= near_miss * max(abs(scale), 1.0):
+        roots = [best_alpha]
+    cands = []
+    reason = f"no base angle in [F^-1(q/2), pi/2] zeroes the residual at q = {q}"
+    for alpha in roots:
+        try:
+            cands.append(
+                _trapezoid_from_angles(A, h, alpha, _beta_from_q(alpha, q), l_f, l_f_tol)
+            )
+        except NoSolution as exc:
+            reason = str(exc)
+    if not cands:
+        raise NoSolution(reason)
+    if L is None:
+        if len(cands) > 1:
+            raise NonUniqueSolution(f"multiple angle solutions: {roots}")
+        return cands[0]
+    misses = sorted(((abs(t.perimeter - L), t) for t in cands), key=lambda x: x[0])
+    if misses[0][0] > L_tol * max(L, 1.0):
+        raise InconsistentInvariants(
+            f"recovered perimeter {misses[0][1].perimeter} vs supplied {L}"
+        )
+    if len(misses) > 1 and misses[1][0] <= 10 * max(misses[0][0], 1e-12 * L):
+        raise NonUniqueSolution(
+            "two angle solutions reproduce the supplied perimeter equally well"
+        )
+    return misses[0][1]
+
+
+def _trapezoid_from_angles(
+    A: float, h: float, alpha: float, beta: float, l_f: float | None, l_f_tol: float
+) -> Trapezoid:
+    """Sides from area, height and the recovered angles."""
+    b_plus = 2 * A / h  # B + b
+    b_minus = h * (1 / math.tan(alpha) + 1 / math.tan(beta))  # B - b
+    B = 0.5 * (b_plus + b_minus)
+    b = 0.5 * (b_plus - b_minus)
+    if b <= 0:
+        raise NoSolution("recovered top side is nonpositive")
+    try:
+        trap = new_trapezoid(B=B, h=h, alpha=alpha, beta=beta)
+    except DomainError as exc:
+        raise NoSolution(f"recovered parameters invalid: {exc}") from exc
+    if l_f is not None:
+        got = 2 * B * math.sin(alpha) * math.sin(beta)
+        if abs(got - l_f) > l_f_tol * max(l_f, 1.0):
+            raise NoSolution(
+                f"recovered Fagnano length {got} contradicts the observed {l_f}"
+            )
+    return trap
 
 
 def solve_from_h(
@@ -168,7 +269,6 @@ def solve_from_h(
     q: float,
     h: float,
     l_f: float | None = None,
-    angle_tol: float = 1e-12,
     l_f_tol: float = 1e-6,
     s_slack: float = 0.0,
 ) -> Trapezoid:
@@ -191,60 +291,14 @@ def solve_from_h(
     """
     if not (A > 0 and L > 0 and h > 0):
         raise DomainError("A, L, h must be positive")
-    if q < Q_RECTANGLE - 1e-12:
-        raise DomainError("angle invariant below the rectangle minimum")
-    if q < Q_RECTANGLE + 1e-12:
-        raise NoSolution("rectangle-range angle invariant; use reconstruct_rectangle")
+    _check_q(q)
     s_target = (L - 2 * A / h) / h
     if s_target <= 2 + 1e-12 and s_slack <= 0:
         raise NoSolution("csc(alpha) + csc(beta) must exceed 2; no trapezoid fits")
-
-    alpha_min = corner_f_inverse(q / 2.0)  # isosceles end of the alpha range
-
-    def residual(alpha: float) -> float:
-        beta = _beta_from_q(alpha, q)
-        return 1 / math.sin(alpha) + 1 / math.sin(beta) - s_target
-
-    roots, best_alpha, best_miss = _angle_roots(
-        residual, alpha_min, math.pi / 2, angle_tol, s_target
+    return _solve_alpha(
+        lambda alpha, beta: 1 / math.sin(alpha) + 1 / math.sin(beta) - s_target,
+        q, s_target, A, h, l_f=l_f, l_f_tol=l_f_tol, near_miss=s_slack,
     )
-    if not roots:
-        if s_slack > 0 and best_miss <= s_slack * max(abs(s_target), 1.0):
-            roots = [best_alpha]
-        else:
-            raise NoSolution("no base angles satisfy both invariants at this height")
-    if len(roots) > 1:
-        raise NonUniqueSolution(f"multiple angle solutions: {roots}")
-    alpha = roots[0]
-    return _trapezoid_from_angles(A, h, alpha, _beta_from_q(alpha, q), l_f, l_f_tol)
-
-
-def _trapezoid_from_angles(
-    A: float,
-    h: float,
-    alpha: float,
-    beta: float,
-    l_f: float | None,
-    l_f_tol: float = 1e-6,
-) -> Trapezoid:
-    """Finish solve_from_h: sides from area, height and the recovered angles."""
-    b_plus = 2 * A / h  # B + b
-    b_minus = h * (1 / math.tan(alpha) + 1 / math.tan(beta))  # B - b
-    B = 0.5 * (b_plus + b_minus)
-    b = 0.5 * (b_plus - b_minus)
-    if b <= 0:
-        raise NoSolution("recovered top side is nonpositive")
-    try:
-        trap = new_trapezoid(B=B, h=h, alpha=alpha, beta=beta)
-    except DomainError as exc:
-        raise NoSolution(f"recovered parameters invalid: {exc}") from exc
-    if l_f is not None:
-        got = 2 * B * math.sin(alpha) * math.sin(beta)
-        if abs(got - l_f) > l_f_tol * max(l_f, 1.0):
-            raise NoSolution(
-                f"recovered Fagnano length {got} contradicts the observed {l_f}"
-            )
-    return trap
 
 
 def solve_from_h_and_b(
@@ -256,7 +310,6 @@ def solve_from_h_and_b(
     L_tol: float = 1e-6,
     l_f: float | None = None,
     l_f_tol: float = 1e-6,
-    angle_tol: float = 1e-12,
 ) -> Trapezoid:
     """Trapezoid from area, angle invariant, height, and top side.
 
@@ -272,32 +325,15 @@ def solve_from_h_and_b(
     """
     if not (A > 0 and h > 0 and b > 0):
         raise DomainError("A, h, b must be positive")
-    if q < Q_RECTANGLE - 1e-12:
-        raise DomainError("angle invariant below the rectangle minimum")
-    if q < Q_RECTANGLE + 1e-12:
-        raise NoSolution("rectangle-range angle invariant; use reconstruct_rectangle")
+    _check_q(q)
     B = 2 * A / h - b
     if B <= b:
         raise NoSolution("top side at least as long as the base; not a trapezoid")
     c_target = (B - b) / h  # cot(alpha) + cot(beta)
-
-    def residual(alpha: float) -> float:
-        beta = _beta_from_q(alpha, q)
-        return 1 / math.tan(alpha) + 1 / math.tan(beta) - c_target
-
-    alpha_min = corner_f_inverse(q / 2.0)
-    roots, _, _ = _angle_roots(residual, alpha_min, math.pi / 2, angle_tol, c_target)
-    if not roots:
-        raise NoSolution("no base angles give this top side at this height")
-    if len(roots) > 1:
-        raise NonUniqueSolution(f"multiple angle solutions: {roots}")
-    alpha = roots[0]
-    trap = _trapezoid_from_angles(A, h, alpha, _beta_from_q(alpha, q), l_f, l_f_tol)
-    if L is not None and abs(trap.perimeter - L) > L_tol * max(L, 1.0):
-        raise InconsistentInvariants(
-            f"recovered perimeter {trap.perimeter} vs supplied {L}"
-        )
-    return trap
+    return _solve_alpha(
+        lambda alpha, beta: 1 / math.tan(alpha) + 1 / math.tan(beta) - c_target,
+        q, c_target, A, h, l_f=l_f, l_f_tol=l_f_tol, L=L, L_tol=L_tol,
+    )
 
 
 def solve_from_h_and_lf(
@@ -307,7 +343,6 @@ def solve_from_h_and_lf(
     l_f: float,
     L: float | None = None,
     L_tol: float = 1e-6,
-    angle_tol: float = 1e-12,
 ) -> Trapezoid:
     """Trapezoid from area, angle invariant, height, and Fagnano length.
 
@@ -322,42 +357,15 @@ def solve_from_h_and_lf(
     """
     if not (A > 0 and h > 0 and l_f > 0):
         raise DomainError("A, h, l_f must be positive")
-    if q < Q_RECTANGLE - 1e-12:
-        raise DomainError("angle invariant below the rectangle minimum")
-    if q < Q_RECTANGLE + 1e-12:
-        raise NoSolution("rectangle-range angle invariant; use reconstruct_rectangle")
+    _check_q(q)
 
-    def residual(alpha: float) -> float:
-        beta = _beta_from_q(alpha, q)
+    def residual(alpha: float, beta: float) -> float:
         B = A / h + h * (1 / math.tan(alpha) + 1 / math.tan(beta)) / 2
         return 2 * B * math.sin(alpha) * math.sin(beta) - l_f
 
-    alpha_min = corner_f_inverse(q / 2.0)
-    roots, _, _ = _angle_roots(residual, alpha_min, math.pi / 2, angle_tol, l_f)
-    cands = []
-    for alpha in roots:
-        try:
-            cands.append(_trapezoid_from_angles(A, h, alpha, _beta_from_q(alpha, q), None))
-        except NoSolution:
-            continue
-    if not cands:
-        raise NoSolution("no base angles give this Fagnano length at this height")
-    if L is None:
-        # unlike the cot sum, the Fagnano residual genuinely admits two roots
-        # for some shapes; without a perimeter there is nothing to break the tie
-        if len(cands) > 1:
-            raise NonUniqueSolution(f"multiple angle solutions: {roots}")
-        return cands[0]
-    misses = sorted(((abs(t.perimeter - L), t) for t in cands), key=lambda x: x[0])
-    if misses[0][0] > L_tol * max(L, 1.0):
-        raise InconsistentInvariants(
-            f"recovered perimeter {misses[0][1].perimeter} vs supplied {L}"
-        )
-    if len(misses) > 1 and misses[1][0] <= 10 * max(misses[0][0], 1e-12 * L):
-        raise NonUniqueSolution(
-            "two angle solutions reproduce the supplied perimeter equally well"
-        )
-    return misses[0][1]
+    # unlike the cot sum, the Fagnano residual genuinely admits two roots for
+    # some shapes; only the perimeter can break the tie
+    return _solve_alpha(residual, q, l_f, A, h, L=L, L_tol=L_tol)
 
 
 def solve_from_lf_halpha(
@@ -434,31 +442,35 @@ def solve_alpha_right(A: float, L: float, q: float) -> list[Trapezoid]:
 # scan-classify-reconstruct pipeline
 
 
+# wave-trace scan of the pipeline: peaks above PEAK_THRESHOLD x background on
+# [SCAN_T_START, fitted perimeter], cross-validated against orbits of period
+# at most ORBIT_PERIOD_MAX
+PEAK_THRESHOLD = 5.0
+SCAN_T_START = 0.3
+ORBIT_PERIOD_MAX = 12
+
+
 @dataclass
 class ReconstructConfig:
     min_eigenvalues: int = 800
     rectangle_q_tol: float = 1e-2
     sigma: float | None = None
-    threshold: float = 5.0
-    t_start: float = 0.3
-    t_max: float | None = None  # default: the fitted perimeter
     # late fit window: FEM spectra are unreliable in their top modes, and by
     # t ~ 0.01 only the well-resolved low modes contribute to the heat trace
     fit_t_window: tuple[float, float] | None = (0.01, 0.04)
     invariant_rel_tol: float = 0.05
-    orbit_period_max: int = 12
 
     def to_dict(self) -> dict:
         return {
             "minEigenvalues": self.min_eigenvalues,
             "rectangleQTol": self.rectangle_q_tol,
             "sigma": self.sigma,
-            "threshold": self.threshold,
-            "tStart": self.t_start,
-            "tMax": self.t_max,
+            "threshold": PEAK_THRESHOLD,
+            "tStart": SCAN_T_START,
+            "tMax": None,  # the scan ends at the fitted perimeter
             "fitTWindow": self.fit_t_window,
             "invariantRelTol": self.invariant_rel_tol,
-            "orbitPeriodMax": self.orbit_period_max,
+            "orbitPeriodMax": ORBIT_PERIOD_MAX,
         }
 
 
@@ -573,18 +585,14 @@ def scan_and_reconstruct(
             config=cfg.to_dict(),
         )
 
-    sigma = cfg.sigma if cfg.sigma is not None else default_sigma(None)
-    t_hi = cfg.t_max if cfg.t_max is not None else L
-    peaks = scan_peaks(
-        spectrum, (cfg.t_start, t_hi), sigma, threshold=cfg.threshold
-    )
+    sigma = cfg.sigma if cfg.sigma is not None else DEFAULT_SIGMA
+    peaks = scan_peaks(spectrum, (SCAN_T_START, L), sigma, threshold=PEAK_THRESHOLD)
     peaks.sort(key=lambda c: c.t0)
     evidence: list[SingularityCandidate] = []
     match_tol = 2 * sigma
 
     # hypotheses: (branch name, thunk building the trapezoid)
     hypotheses: list[tuple[str, Trapezoid]] = []
-    ambiguous = False
 
     def try_branch(branch: str, builder) -> bool:
         try:
@@ -642,59 +650,39 @@ def scan_and_reconstruct(
                 ),
             )
 
-    l_f = None
-    for cand in peaks:
-        label = _classified(spectrum, cand, sigma)
-        if label is None:
-            continue
-        evidence.append(cand)
-        if label == "band":
-            band_hypotheses("FirstOrderHalfIs2h", cand.t0)
-            break
-        if label == "isolated":
-            l_f = cand.t0
-            break
-        if label == "ambiguous":
-            ambiguous = True
-            band_hypotheses("FirstOrderHalfIs2h", cand.t0)
-            l_f = cand.t0
-            break
-        # diffractive: a 2mb-type length, jump over it
-
-    if l_f is not None:
-        window = [c for c in peaks if l_f * (1 + 1e-9) < c.t0 < 2 * l_f]
-        decided = False
-        for cand in window:
+    def first_reading(cands, skip: str):
+        """Classify cands in order, each classified one into the evidence, and
+        return the first (candidate, label) whose label is not skip."""
+        for cand in cands:
             label = _classified(spectrum, cand, sigma)
             if label is None:
                 continue
             evidence.append(cand)
-            if label == "band":
-                band_hypotheses("LFThen2h", cand.t0, lf=l_f)
-                decided = True
-                break
-            if label == "diffractive":
-                try_branch(
-                    "LFThen2hAlpha",
-                    lambda t0=cand.t0: solve_from_lf_halpha(
-                        L, q, l_f, t0 / 2, area=A, area_tol=cfg.invariant_rel_tol
-                    ),
-                )
-                decided = True
-                break
-            if label == "ambiguous":
-                ambiguous = True
-                band_hypotheses("LFThen2h", cand.t0, lf=l_f)
-                try_branch(
-                    "LFThen2hAlpha",
-                    lambda t0=cand.t0: solve_from_lf_halpha(
-                        L, q, l_f, t0 / 2, area=A, area_tol=cfg.invariant_rel_tol
-                    ),
-                )
-                decided = True
-                break
-            # isolated: unrelated odd orbit, skip it
-        if not decided:
+            if label != skip:
+                return cand, label
+        return None, None
+
+    # first pass: diffractive 2mb-type lengths are jumped over
+    cand, label = first_reading(peaks, "diffractive")
+    ambiguous = label == "ambiguous"
+    if label in ("band", "ambiguous"):
+        band_hypotheses("FirstOrderHalfIs2h", cand.t0)
+    if label in ("isolated", "ambiguous"):
+        # window pass over (l_F, 2 l_F): unrelated isolated odd orbits are skipped
+        l_f = cand.t0
+        window = [c for c in peaks if l_f * (1 + 1e-9) < c.t0 < 2 * l_f]
+        cand, label = first_reading(window, "isolated")
+        ambiguous |= label == "ambiguous"
+        if label in ("band", "ambiguous"):
+            band_hypotheses("LFThen2h", cand.t0, lf=l_f)
+        if label in ("diffractive", "ambiguous"):
+            try_branch(
+                "LFThen2hAlpha",
+                lambda: solve_from_lf_halpha(
+                    L, q, l_f, cand.t0 / 2, area=A, area_tol=cfg.invariant_rel_tol
+                ),
+            )
+        if label is None:
             try:
                 for trap in solve_alpha_right(A, L, q):
                     hypotheses.append(("AlphaRightAngle", trap))
@@ -711,9 +699,7 @@ def scan_and_reconstruct(
     scored = []
     for branch, trap in hypotheses:
         res = _invariant_residuals(trap, A, L, q)
-        res["unmatchedPeaks"] = _unmatched_peaks(
-            trap, peaks, t_hi, match_tol, cfg.orbit_period_max
-        )
+        res["unmatchedPeaks"] = _unmatched_peaks(trap, peaks, L, match_tol, ORBIT_PERIOD_MAX)
         ok = (
             res["areaRel"] <= cfg.invariant_rel_tol
             and res["perimeterRel"] <= cfg.invariant_rel_tol
@@ -776,10 +762,8 @@ class ConsistencyReport:
         )
 
 
-def check_isospectral_consistency(
-    t1: Trapezoid, t2: Trapezoid, rel_tol: float = 1e-9
-) -> ConsistencyReport:
-    """Compare the exact spectral invariants of two trapezoids.
+def check_isospectral_consistency(t1: Trapezoid, t2: Trapezoid) -> ConsistencyReport:
+    """Compare the exact spectral invariants of two trapezoids, relative to 1e-9.
 
     Non-congruent trapezoids must be separated by some listed invariant;
     "potentially-isospectral" is the fallback verdict that uniqueness says
@@ -805,6 +789,7 @@ def check_isospectral_consistency(
         ("fagnanoLength", cat1.fagnano.length, cat2.fagnano.length),
     ]
     values = {name: (a, b) for name, a, b in items}
+    rel_tol = 1e-9
     for name, a, b in items:
         if abs(a - b) > rel_tol * max(abs(a), abs(b), 1.0):
             return ConsistencyReport(

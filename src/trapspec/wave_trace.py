@@ -26,7 +26,7 @@ from .eigensolver import Spectrum
 
 CLASS_MARGIN = 0.25
 AMBIGUITY_BAND = 0.05  # distance to a class boundary that triggers "ambiguous"
-DEFAULT_SIGMA_CAP = 0.15
+DEFAULT_SIGMA = 0.15  # window width when none is configured
 
 
 @dataclass
@@ -66,12 +66,6 @@ class SingularityCandidate:
 
 def candidates_json(candidates) -> str:
     return json.dumps([c.to_dict() for c in candidates])
-
-
-def default_sigma(length_gap: float | None) -> float:
-    if length_gap is None:
-        return DEFAULT_SIGMA_CAP
-    return min(DEFAULT_SIGMA_CAP, length_gap / 4.0)
 
 
 def probe(
@@ -131,23 +125,21 @@ def scan_peaks(
     spectrum: Spectrum,
     t_range: tuple[float, float],
     sigma: float,
-    k_ref: float | None = None,
     threshold: float = 5.0,
     known_lengths=None,
 ) -> list[SingularityCandidate]:
     """Local maxima of |I(k_ref)| over a t-grid, above threshold x median.
 
-    The grid step is sigma/4. When known orbit lengths are supplied each
-    candidate is matched within 2 sigma; unmatched peaks
-    keep matched_orbit=None and deserve investigation.
+    k_ref is half of sqrt(lambda_N) and the grid step is sigma/4. When known
+    orbit lengths are supplied each candidate is matched within 2 sigma;
+    unmatched peaks keep matched_orbit=None and deserve investigation.
     """
     t_lo, t_hi = t_range
     if not (0 < t_lo < t_hi):
         raise DomainError("t_range must be positive and increasing")
     if spectrum.count == 0:
         return []
-    if k_ref is None:
-        k_ref = 0.5 * math.sqrt(spectrum.eigenvalues[-1])
+    k_ref = 0.5 * math.sqrt(spectrum.eigenvalues[-1])
     step = sigma / 4.0
     ts = np.arange(t_lo, t_hi + step / 2, step)
     amp = _abs_i_on_grid(spectrum, ts, sigma, k_ref)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +92,50 @@ class TestSpectrumCommand:
         with pytest.raises(SystemExit) as exc:
             main(["spectrum"])  # missing domain argument
         assert exc.value.code == 2
+
+
+class TestMalformedInput:
+    """Bad counts and spectrum files exit 1 with a JSON error, never a traceback."""
+
+    @pytest.fixture()
+    def spectrum_files(self, tmp_path, square_spectrum_csv):
+        text = Path(square_spectrum_csv).read_text()
+        header = text.splitlines()[0]
+        files = {
+            "bad_tag": text.replace("# bc=D ", "# bc=X ", 1),
+            "header_only": header + "\n",
+            "no_domain": text.replace(header, "# bc=D", 1),
+        }
+        for name, body in files.items():
+            (tmp_path / f"{name}.csv").write_text(body)
+        return {name: str(tmp_path / f"{name}.csv") for name in files}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "{square}", "--bc", "N", "--n", "0", "--mesh-size", "0.0625",
+             "--refine-levels", "2"],
+            ["spectrum", "{square}", "--bc", "D", "--n", "-3", "--mesh-size", "0.0625",
+             "--refine-levels", "2"],
+            ["invariants", "{bad_tag}"],
+            ["invariants", "{header_only}"],
+            ["invariants", "{no_domain}"],
+            ["wavetrace", "{header_only}", "--t-lo", "1.5", "--t-hi", "2.5",
+             "--probe-t0", "2.0", "--probe-out", "{probe}"],
+        ],
+        ids=["spectrum-N-n0", "spectrum-D-negative-n", "invariants-unknown-bc-tag",
+             "invariants-header-only", "invariants-no-domain-field", "wavetrace-header-only"],
+    )
+    def test_exits_1_with_json_error(
+        self, argv, square_json, spectrum_files, tmp_path, capsys
+    ):
+        paths = dict(spectrum_files, square=square_json, probe=str(tmp_path / "p.csv"))
+        out = tmp_path / "out"
+        rc = main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError"
+        assert not out.exists()
 
 
 class TestInvariantsCommand:

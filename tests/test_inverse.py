@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from trapspec import inverse
 from trapspec.billiards import ClosedGeodesic
 from trapspec.eigensolver import exact_rectangle_spectrum
 from trapspec.errors import (
+    AmbiguousClassification,
     BudgetExceeded,
     DomainError,
     InconsistentInvariants,
@@ -367,6 +369,132 @@ class TestUnmatchedPeaks:
         monkeypatch.setattr(inverse, "length_spectrum", broken)
         with pytest.raises(DomainError):
             inverse._unmatched_peaks(self.TRAP, self.PEAKS, 4.0, 0.05, 12)
+
+
+# scripted peak times of TestDecisionWalk: an l_F read at 1.0 opens the
+# window (1.0, 2.0) over 1.3 and 1.6
+WALK_PEAKS = (1.0, 1.3, 1.6, 2.5)
+
+
+def _first(t0):
+    """Hypotheses of a first-pass band at t0: the csc solve, then every other
+    peak as 2b (cot sum) and as l_F."""
+    out = [("FirstOrderHalfIs2h", "h")]
+    for other in WALK_PEAKS:
+        if other != t0:
+            out += [("FirstOrderHalfIs2h", "hb"), ("FirstOrderHalfIs2h", "hlf")]
+    return out
+
+
+def _lf_then_2h(t0, lf):
+    """Hypotheses of a window band at t0 after l_F = lf: the csc solve, the
+    Fagnano solve, then every peak other than both as 2b."""
+    out = [("LFThen2h", "h"), ("LFThen2h", "hlf")]
+    for other in WALK_PEAKS:
+        if other not in (t0, lf):
+            out.append(("LFThen2h", "hb"))
+    return out
+
+
+_ALPHA = [("LFThen2hAlpha", "lfha")]
+_RIGHT = [("AlphaRightAngle", "right")]
+
+
+class TestDecisionWalk:
+    """The singularity walk of scan_and_reconstruct on scripted order labels.
+
+    Every solver succeeds and every hypothesis passes cross-validation, so
+    the report lists them all in the order the walk made them.
+    """
+
+    SOLVERS = {
+        "solve_from_h": "h",
+        "solve_from_h_and_b": "hb",
+        "solve_from_h_and_lf": "hlf",
+        "solve_from_lf_halpha": "lfha",
+        "solve_alpha_right": "right",
+    }
+
+    def _walk(self, monkeypatch, labels, distinct):
+        """Run the walk; with distinct, call k returns a trapezoid with B = 2 + k/100."""
+        calls = []
+
+        def recorder(short):
+            def solve(*args, **kwargs):
+                k = len(calls) if distinct else 0
+                calls.append(short)
+                trap = new_trapezoid(B=2 + 0.01 * k, h=1, alpha=1.3, beta=1.1)
+                return [trap] if short == "right" else trap
+
+            return solve
+
+        for name, short in self.SOLVERS.items():
+            monkeypatch.setattr(inverse, name, recorder(short))
+        label_of = dict(zip(WALK_PEAKS, labels))
+        monkeypatch.setattr(
+            inverse, "fit_invariants",
+            lambda *a, **k: SimpleNamespace(area=2.0, perimeter=6.0, q_estimate=1.0),
+        )
+        monkeypatch.setattr(
+            inverse, "scan_peaks",
+            lambda *a, **k: [SingularityCandidate(t0=t, amplitude=1.0) for t in WALK_PEAKS],
+        )
+        monkeypatch.setattr(inverse, "_classified", lambda spec, cand, sigma: label_of[cand.t0])
+        monkeypatch.setattr(
+            inverse, "_invariant_residuals",
+            lambda *a: {"areaRel": 0.0, "perimeterRel": 0.0, "qRel": 0.0},
+        )
+        monkeypatch.setattr(inverse, "_unmatched_peaks", lambda *a: [])
+        report = scan_and_reconstruct(
+            exact_rectangle_spectrum(1, 1, 10), ReconstructConfig(min_eigenvalues=1)
+        )
+        return report, calls
+
+    @pytest.mark.parametrize(
+        "labels,evidence,attempted,ambiguous",
+        [
+            (("band",) * 4, [1.0], _first(1.0), False),
+            (("diffractive", "band", "band", "band"), [1.0, 1.3], _first(1.3), False),
+            (("isolated", "band", "band", "band"), [1.0, 1.3], _lf_then_2h(1.3, 1.0), False),
+            (("isolated", "diffractive", "band", "band"), [1.0, 1.3], _ALPHA, False),
+            (
+                ("isolated", "ambiguous", "band", "band"), [1.0, 1.3],
+                _lf_then_2h(1.3, 1.0) + _ALPHA, True,
+            ),
+            (
+                ("isolated", "isolated", "band", "band"), [1.0, 1.3, 1.6],
+                _lf_then_2h(1.6, 1.0), False,
+            ),
+            # 2.5 reads as a band but lies beyond 2 l_F
+            (("isolated", None, "isolated", "band"), [1.0, 1.6], _RIGHT, False),
+            (
+                ("ambiguous", "band", "band", "band"), [1.0, 1.3],
+                _first(1.0) + _lf_then_2h(1.3, 1.0), True,
+            ),
+            ((None, "band", "band", "band"), [1.3], _first(1.3), False),
+        ],
+        ids=[
+            "band-first", "diffractive-then-band", "isolated-then-band",
+            "isolated-then-diffractive", "isolated-then-ambiguous",
+            "isolated-isolated-then-band", "isolated-then-nothing", "ambiguous-first",
+            "none-skipped",
+        ],
+    )
+    def test_walk(self, monkeypatch, labels, evidence, attempted, ambiguous):
+        report, calls = self._walk(monkeypatch, labels, distinct=True)
+        hyps = [(report.branch, report.trapezoid)]
+        hyps += [(b, t) for b, t, _ in report.alternatives]
+        assert [(b, calls[round((t.B - 2) / 0.01)]) for b, t in hyps] == attempted
+        assert len(calls) == len(attempted)
+        assert [c.t0 for c in report.evidence] == evidence
+        # one shared trapezoid dedups to a single survivor, leaving the walk's flag
+        report, _ = self._walk(monkeypatch, labels, distinct=False)
+        assert report.ambiguous is ambiguous
+        assert [c.t0 for c in report.evidence] == evidence
+
+    def test_no_reading_raises(self, monkeypatch):
+        with pytest.raises(AmbiguousClassification):
+            self._walk(monkeypatch, (None, "diffractive", None, "diffractive"), True)
 
 
 class TestIsospectralConsistency:

@@ -9,7 +9,6 @@ from trapspec.wave_trace import (
     SingularityCandidate,
     candidates_json,
     classify_candidate,
-    default_sigma,
     estimate_order,
     probe,
     scan_peaks,
@@ -128,11 +127,6 @@ class TestClassification:
     def test_requires_order(self):
         with pytest.raises(DomainError):
             classify_candidate(SingularityCandidate(t0=2.0, amplitude=1.0))
-
-    def test_default_sigma(self):
-        assert default_sigma(None) == 0.15
-        assert default_sigma(0.2) == 0.05
-        assert default_sigma(10.0) == 0.15
 
     def test_candidates_json(self):
         c = SingularityCandidate(t0=2.0, amplitude=1.0, estimated_order=0.5)
