@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, DerivativeInstability, DomainError
+from .errors import BudgetExceeded, DomainError
 from .geometry import Polygon, Trapezoid, vertices
 from .planar import Isometry, _hull_pts, cross2, hulls_separated, seg_dist_pts
 
@@ -34,13 +34,9 @@ class ClosedGeodesic:
     parity: str  # "even" | "odd"
     basepoint: np.ndarray
     direction: np.ndarray
-    diffractive: bool = False
     multiplicity: int = 1  # 1 = prime orbit, m = m-fold traversal
-    translation: np.ndarray | None = None  # band only
     width: float = 0.0  # band corridor width
     swept_area: float = 0.0  # band only
-    axis_point: np.ndarray | None = None  # isolated only
-    axis_direction: np.ndarray | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -48,8 +44,9 @@ class ClosedGeodesic:
             "length": self.length,
             "kind": self.kind,
             "parity": self.parity,
-            "conical": False,  # conical chains are ConicalChain records
-            "diffractive": self.diffractive,
+            # conical and diffractive orbits are ConicalChain records
+            "conical": False,
+            "diffractive": False,
             "multiplicity": self.multiplicity,
             "width": self.width,
             "sweptArea": self.swept_area,
@@ -359,7 +356,6 @@ class _Enumerator:
                 basepoint=base,
                 direction=d,
                 multiplicity=_word_multiplicity(word),
-                translation=tau.copy(),
                 width=float(width),
                 swept_area=float(width * length),
             )
@@ -391,8 +387,6 @@ class _Enumerator:
                 basepoint=base,
                 direction=d,
                 multiplicity=_word_multiplicity(word),
-                axis_point=p0,
-                axis_direction=d,
             )
         )
 
@@ -429,86 +423,43 @@ def find_generalized_diagonals(
 # ---- Poincare map -----------------------------------------------------------
 
 
-def _next_hit(edges, point, direction, skip_edge):
-    best_t, best_k, best_pt = None, None, None
-    for k in range(len(edges)):
-        if k == skip_edge:
-            continue
-        a, b = edges[k]
-        denom = cross2(direction, b - a)
-        if abs(denom) < 1e-30:
-            continue
-        t = cross2(a - point, b - a) / denom
-        s = cross2(a - point, direction) / denom
-        if t > 1e-12 and -1e-12 <= s <= 1 + 1e-12 and (best_t is None or t < best_t):
-            best_t, best_k, best_pt = t, k, point + t * direction
-    if best_k is None:
-        raise DomainError("ray escaped the polygon (numerical failure)")
-    return best_k, best_pt
-
-
-def _bounce(edges, state):
-    """One step of the billiard section map: (edge, x, r) -> (edge', x', r')."""
-    k, x, r = state
-    a, b = edges[k]
-    tang = (b - a) / np.linalg.norm(b - a)
-    n_in = np.array([-tang[1], tang[0]])  # inward normal for CCW polygons
-    d = r * tang + math.sqrt(max(1.0 - r * r, 0.0)) * n_in
-    k2, pt = _next_hit(edges, a + x * tang, d, k)
-    a2, b2 = edges[k2]
-    tang2 = (b2 - a2) / np.linalg.norm(b2 - a2)
-    n2 = np.array([-tang2[1], tang2[0]])
-    d2 = d - 2 * float(d @ n2) * n2
-    return (k2, float((pt - a2) @ tang2), float(d2 @ tang2))
-
-
-def _first_return(edges, e0, x, r, n_steps):
-    state = (e0, x, r)
-    for _ in range(n_steps):
-        state = _bounce(edges, state)
-    if state[0] != e0:
-        raise DomainError("perturbed trajectory left the orbit's edge sequence")
-    return np.array([state[1], state[2]])
-
-
 def poincare_map(polygon: Polygon, geodesic: ClosedGeodesic) -> PoincareData:
-    """Linearized first-return billiard map along a closed orbit.
+    """Linearized first-return billiard map along a closed orbit, in closed form.
 
     Coordinates are (x, cos theta) on the first edge of the word — arclength
     from the edge's start vertex and the cosine of the outgoing angle against
-    the edge tangent. Central finite differences at two step sizes must agree
-    to 1e-3 or the derivative is rejected.
+    the edge tangent. One period unfolds to the line from the basepoint to
+    the edge's copy reached after the rest of the word; P is the exact
+    derivative of where the line crosses that copy, pulled back. DomainError
+    unless the record closes up: the word's isometry carries the basepoint on
+    the edge to basepoint + length * direction and fixes the direction, which
+    is not tangent to the edge.
     """
-    edges = polygon.edges()
-    e0 = geodesic.word[0]
-    a, b = edges[e0]
+    word, base, direction = geodesic.word, geodesic.basepoint, geodesic.direction
+    a, b = polygon.edges()[word[0]]
     tang = (b - a) / np.linalg.norm(b - a)
-    # the unfolded line exits through edge e0; fold back for the real direction
+    n_in = np.array([-tang[1], tang[0]])  # inward normal for CCW polygons
     refl = Isometry.reflection(a, b)
-    d0 = refl.a @ geodesic.direction
-    x0 = float((geodesic.basepoint - a) @ tang)
-    r0 = float(d0 @ tang)
-    n = len(geodesic.word)
-    scale = polygon.diameter
-
-    def jac(step_x, step_r):
-        p = np.empty((2, 2))
-        fx1 = _first_return(edges, e0, x0 + step_x, r0, n)
-        fx2 = _first_return(edges, e0, x0 - step_x, r0, n)
-        fr1 = _first_return(edges, e0, x0, r0 + step_r, n)
-        fr2 = _first_return(edges, e0, x0, r0 - step_r, n)
-        p[:, 0] = (fx1 - fx2) / (2 * step_x)
-        p[:, 1] = (fr1 - fr2) / (2 * step_r)
-        return p
-
-    h = 1e-6
-    p1 = jac(h * scale, h)
-    p2 = jac(0.5 * h * scale, 0.5 * h)
-    if np.max(np.abs(p1 - p2)) > 1e-3:
-        raise DerivativeInstability(
-            f"finite-difference Jacobians disagree by {np.max(np.abs(p1 - p2)):.2e}"
-        )
-    p = p2
+    rest = compose_word(polygon, word[:0:-1])  # carries the edge to its copy
+    m = refl.compose(rest)  # the whole word, composed as the enumerator does
+    tol = _VERTEX_TOL * polygon.diameter
+    if seg_dist_pts(*base, *base, *a, *b) > tol:
+        raise DomainError("basepoint is off the first edge of the word")
+    if np.linalg.norm(m(base) - base - geodesic.length * direction) > tol:
+        raise DomainError("the word does not carry the basepoint one period on")
+    if np.linalg.norm(m.a @ direction - direction) > _VERTEX_TOL:
+        raise DomainError("the word does not fix the orbit direction")
+    d = refl.a @ direction  # the unfolded line exits through the edge: fold back
+    r, s = float(d @ tang), float(d @ n_in)  # cos and sin of the outgoing angle
+    if s < _VERTEX_TOL:
+        raise DomainError("orbit direction is tangent to the first edge")
+    c, t2 = rest(a), rest.a @ tang  # start vertex and tangent of the copy
+    d_r = tang - (r / s) * n_in  # d(direction) / d(cos theta)
+    den = cross2(t2, d)
+    u = cross2(base - c, d) / den  # arclength of the crossing along the copy
+    p12 = (cross2(base - c, d_r) - u * cross2(t2, d_r)) / den
+    # the crossing angle depends on the direction alone, so P21 = 0
+    p = np.array([[s / den, p12], [0.0, float(d_r @ t2)]])
     return PoincareData(matrix=p, det_i_minus_p=float(np.linalg.det(np.eye(2) - p)))
 
 

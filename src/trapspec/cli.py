@@ -71,7 +71,9 @@ def _config_of(args: argparse.Namespace) -> dict:
 def _cmd_spectrum(args) -> int:
     domain = _load_domain(args.domain)
     bc = DIRICHLET if args.bc == "D" else NEUMANN
-    if isinstance(domain, tuple) and args.exact:
+    if args.exact:
+        if not isinstance(domain, tuple):
+            raise ValueError("--exact requires a rectangle domain file {a, c}")
         _, a, c = domain
         spec = exact_rectangle_spectrum(a, c, args.n, bc=bc)
     else:
@@ -90,9 +92,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_invariants(args) -> int:
     spec = Spectrum.from_csv(Path(args.spectrum).read_text())
-    window = None
-    if args.t_min is not None and args.t_max is not None:
-        window = (args.t_min, args.t_max)
+    window = None if args.t_min is None else (args.t_min, args.t_max)
     inv = fit_invariants(spec, t_window=window, grid_size=args.grid_size)
     out = {"invariants": json.loads(inv.to_json()), "config": _config_of(args)}
     _write(json.dumps(out, indent=2), args.out)
@@ -146,7 +146,7 @@ def _cmd_reconstruct(args) -> int:
     )
     if args.sigma is not None:
         cfg.sigma = args.sigma
-    if args.fit_t_min is not None and args.fit_t_max is not None:
+    if args.fit_t_min is not None:
         cfg.fit_t_window = (args.fit_t_min, args.fit_t_max)
     report = scan_and_reconstruct(spec, cfg)
     _write(report.to_json(), args.out)
@@ -250,6 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for lo, hi in (("t_min", "t_max"), ("fit_t_min", "fit_t_max")):
+        if (getattr(args, lo, None) is None) != (getattr(args, hi, None) is None):
+            flags = " and ".join("--" + k.replace("_", "-") for k in (lo, hi))
+            parser.error(f"{flags} must be given together")
     try:
         return args.func(args)
     except (TrapspecError, ValueError, OSError, KeyError) as exc:

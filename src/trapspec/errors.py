@@ -51,10 +51,6 @@ class BudgetExceeded(TrapspecError):
         self.partial = partial
 
 
-class DerivativeInstability(TrapspecError):
-    """One-sided finite-difference estimates disagree beyond tolerance."""
-
-
 class NoiseFloor(TrapspecError):
     """Probe amplitude indistinguishable from the off-peak background."""
 

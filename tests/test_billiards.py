@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -135,6 +136,49 @@ class TestFagnano:
         rhs = np.linalg.det(np.eye(2) - p1) * np.linalg.det(np.eye(2) + p1)
         assert lhs == pytest.approx(rhs, abs=1e-3)
         assert np.allclose(p2, p1 @ p1, atol=1e-4)
+
+    def test_tall_trapezoid_isolated_orbit(self):
+        # P12 is about -3e4 here: finite differences at a fixed step could
+        # not resolve this valid orbit
+        t = new_trapezoid(
+            B=2.579456379876274, h=54.156727883003576,
+            alpha=1.5679885920098475, beta=1.560635293469654,
+        )
+        poly = vertices(t)
+        orbit = next(o for o in enumerate_orbits(poly, 6.0, period_max=10)
+                     if o.word == (0, 1, 3))
+        assert orbit.kind == "isolated"
+        assert poincare_map(poly, orbit).det_i_minus_p == pytest.approx(4.0, abs=1e-9)
+
+    def test_det_by_word_parity_on_random_trapezoids(self):
+        rng = np.random.default_rng(11)
+        count = 0
+        for _ in range(50):
+            t = random_trapezoid(rng)
+            poly = vertices(t)
+            for o in enumerate_orbits(poly, 2.2 * min(t.h, t.b) + 0.8, period_max=10):
+                pd = poincare_map(poly, o)
+                assert pd.det_p == pytest.approx(1.0, abs=1e-8)
+                expected = 4.0 if len(o.word) % 2 else 0.0
+                assert pd.det_i_minus_p == pytest.approx(expected, abs=1e-8), o.word
+                count += 1
+        assert count >= 50
+
+    @pytest.mark.parametrize("perturb", ["rotate_direction", "lift_basepoint"])
+    def test_record_that_does_not_close_rejected(self, fagnano_setup, perturb):
+        _, poly, orbs = fagnano_setup
+        fag = next(o for o in orbs if o.kind == "isolated" and abs(o.length - 3) < 1e-9)
+        if perturb == "rotate_direction":
+            c, s = math.cos(1e-3), math.sin(1e-3)
+            bad = dataclasses.replace(
+                fag, direction=np.array([[c, -s], [s, c]]) @ fag.direction
+            )
+        else:
+            a, b = poly.edges()[fag.word[0]]
+            normal = np.array([a[1] - b[1], b[0] - a[0]]) / np.linalg.norm(b - a)
+            bad = dataclasses.replace(fag, basepoint=fag.basepoint + 1e-6 * normal)
+        with pytest.raises(DomainError):
+            poincare_map(poly, bad)
 
     def test_two_h_band_geometry(self, fagnano_setup):
         t, _, orbs = fagnano_setup

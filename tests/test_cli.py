@@ -93,6 +93,30 @@ class TestSpectrumCommand:
             main(["spectrum"])  # missing domain argument
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invariants", "{csv}", "--t-min", "0.01"],
+            ["invariants", "{csv}", "--t-max", "0.04"],
+            ["reconstruct", "{csv}", "--fit-t-min", "0.01"],
+            ["reconstruct", "{csv}", "--fit-t-max", "0.04"],
+        ],
+        ids=["t-min", "t-max", "fit-t-min", "fit-t-max"],
+    )
+    def test_half_window_is_usage_error(self, argv, square_spectrum_csv, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(csv=square_spectrum_csv) for a in argv] + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_exact_requires_rectangle(self, trap_json, tmp_path, capsys):
+        out = tmp_path / "spec.csv"
+        rc = main(["spectrum", trap_json, "--exact", "--n", "10", "--out", str(out)])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert not out.exists()
+
 
 class TestMalformedInput:
     """Bad counts and spectrum files exit 1 with a JSON error, never a traceback."""
