@@ -5,7 +5,10 @@ geodesic when the composed isometry is a pure translation (even parity, a
 band of parallel orbits) or a glide reflection whose axis threads every
 unfolded mirror (odd parity, an isolated orbit). Conical geodesics — chains
 running vertex to vertex, possibly along an edge — come from the same word
-search started at a vertex instead of an edge.
+search started at a vertex instead of an edge. Started from an edge, the
+search visits only prenecklace words (the FKM test of Ruskey, Savage & Wang,
+J. Algorithms 13 (1992)) and closes only necklaces, so each closed word is
+walked once rather than once per cyclic rotation.
 """
 
 from __future__ import annotations
@@ -137,12 +140,24 @@ def _canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
     return min(cands)
 
 
-def _word_multiplicity(word: tuple[int, ...]) -> int:
-    n = len(word)
-    for p in range(1, n):
-        if n % p == 0 and word == word[:p] * (n // p):
-            return n // p
-    return 1
+def _extensions(word: tuple[int, ...], period: int | None, n_letters: int) -> list:
+    """Letters that may follow word in the walk, each with the longer word's period.
+
+    Consecutive letters always differ. An edge-start word is a prenecklace
+    whose FKM period (length of its longest Lyndon prefix) is `period`: j keeps
+    it a prenecklace iff j >= word[-period], the period staying on equality and
+    becoming len(word) + 1 above it. Vertex-start words (period None) take
+    every letter.
+    """
+    last = word[-1] if word else -1
+    if period is None:
+        return [(j, None) for j in range(n_letters) if j != last]
+    low = word[-period]
+    return [
+        (j, period if j == low else len(word) + 1)
+        for j in range(low, n_letters)
+        if j != last
+    ]
 
 
 def _line_segment_point(p0, d, a, b):
@@ -183,7 +198,13 @@ class _Enumerator:
     The walk starts from an edge (closed orbits: every corridor line crosses
     it) or from a vertex (generalized diagonals: the vertex sits in both
     hulls, so every corridor line passes through it). Each node hands its
-    word, isometry, hulls and mapped mirror endpoints to a visit step.
+    word, period, isometry, hulls and mapped mirror endpoints to a visit step.
+    Edge-start words are prenecklaces carrying their FKM period p; a word
+    closes only when p divides its length, i.e. when it is a necklace, the
+    least of its rotations, and it is then the m-fold traversal of its first
+    p letters with m = len(word) // p. Words are visited in lexicographic
+    order, so the record kept for each class under rotation and reversal is
+    still its least word. `nodes` counts the nodes of this pruned tree.
     """
 
     def __init__(self, polygon: Polygon, lmax: float, period_max: int, node_budget: int):
@@ -214,7 +235,7 @@ class _Enumerator:
             (ax, ay), (bx, by) = self.edges[first].tolist()
             self._s1 = (ax, ay, bx, by)
             # identity copy is CCW: interior left of v0->v1
-            self._dfs((first,), self.reflections[first], [(bx, by)], [(ax, ay)])
+            self._dfs((first,), 1, self.reflections[first], [(bx, by)], [(ax, ay)])
         return self._result(key=lambda g: (g.length, g.word))
 
     def diagonals(self) -> list[ConicalChain]:
@@ -243,7 +264,7 @@ class _Enumerator:
         for vi, (px, py) in enumerate(self.polygon.vertices.tolist()):
             self._start, self._vi = (px, py), vi
             self._s1 = (px, py, px, py)
-            self._dfs((), Isometry.identity(), [(px, py)], [(px, py)])
+            self._dfs((), None, Isometry.identity(), [(px, py)], [(px, py)])
         return self._result(key=lambda c: (c.length, c.vertex_start))
 
     def _result(self, key) -> list:
@@ -254,22 +275,19 @@ class _Enumerator:
             )
         return out
 
-    def _dfs(self, word, m, lhull, rhull):
+    def _dfs(self, word, period, m, lhull, rhull):
         self.nodes += 1
         if self.nodes > self.node_budget:
             self.complete = False
             return
         pts = m(self.endpoints).tolist()
-        self._visit(word, m, lhull, rhull, pts)
+        self._visit(word, period, m, lhull, rhull, pts)
         if len(word) >= self.period_max:
             return
-        sgn = m.parity
+        even = len(word) % 2 == 0  # m has parity (-1)^len(word)
         neg_tol = -1e-9 * self.scale
-        last = word[-1] if word else -1
         start = self._start
-        for j in range(self.n_edges):
-            if j == last:
-                continue
+        for j, child_period in _extensions(word, period, self.n_edges):
             p0, p1 = pts[2 * j], pts[2 * j + 1]
             if seg_dist_pts(*self._s1, *p0, *p1) > self.lmax:
                 continue
@@ -279,14 +297,16 @@ class _Enumerator:
             ):
                 continue  # mirror through the start vertex: no interior crossing
             # crossing orientation flips with the copy's parity
-            lp, rp = (tuple(p1), tuple(p0)) if sgn > 0 else (tuple(p0), tuple(p1))
+            lp, rp = (tuple(p1), tuple(p0)) if even else (tuple(p0), tuple(p1))
             new_lhull = _hull_pts(lhull + [lp])
             new_rhull = _hull_pts(rhull + [rp])
             if not hulls_separated(new_lhull, new_rhull, neg_tol):
                 continue  # no directed line threads all mirrors
-            self._dfs(word + (j,), m.compose(self.reflections[j]), new_lhull, new_rhull)
+            self._dfs(
+                word + (j,), child_period, m.compose(self.reflections[j]), new_lhull, new_rhull
+            )
 
-    def _try_vertex(self, word, m, lhull, rhull, pts):
+    def _try_vertex(self, word, period, m, lhull, rhull, pts):
         # a chain ends at vertex q of this copy when the line p -> q passes
         # every other hull point by at least tol on its side
         px, py = p = self._start
@@ -316,20 +336,20 @@ class _Enumerator:
                     diffractive=not (self._rational[vi] and self._rational[vj]),
                 )
 
-    def _try_close(self, word, m, lhull, rhull, pts):
-        if len(word) < 2:
-            return
-        if m.parity > 0:
-            self._close_band(word, m, lhull, rhull)
+    def _try_close(self, word, period, m, lhull, rhull, pts):
+        if len(word) < 2 or len(word) % period:
+            return  # too short, or not a necklace: a rotation closes instead
+        if len(word) % 2 == 0:
+            self._close_band(word, m, lhull, rhull, len(word) // period)
         else:
-            self._close_glide(word, m, lhull, rhull)
+            self._close_glide(word, m, lhull, rhull, len(word) // period)
 
     def _record(self, geo: ClosedGeodesic):
         key = (_canonical_word(geo.word), round(geo.length / (1e-9 * self.scale)))
         if key not in self.found:
             self.found[key] = geo
 
-    def _close_band(self, word, m, lhull, rhull):
+    def _close_band(self, word, m, lhull, rhull, multiplicity):
         if np.max(np.abs(m.a - np.eye(2))) > 1e-9:
             return  # a proper rotation has no invariant line
         tau = m.t
@@ -355,13 +375,13 @@ class _Enumerator:
                 parity="even",
                 basepoint=base,
                 direction=d,
-                multiplicity=_word_multiplicity(word),
+                multiplicity=multiplicity,
                 width=float(width),
                 swept_area=float(width * length),
             )
         )
 
-    def _close_glide(self, word, m, lhull, rhull):
+    def _close_glide(self, word, m, lhull, rhull, multiplicity):
         # reflection part: mirror direction u; glide vector a*u along the axis
         u = np.array(
             [math.cos(0.5 * math.atan2(m.a[1, 0], m.a[0, 0])),
@@ -383,10 +403,10 @@ class _Enumerator:
                 word=word,
                 length=abs(a),
                 kind="isolated",
-                parity="odd" if len(word) % 2 else "even",
+                parity="odd",
                 basepoint=base,
                 direction=d,
-                multiplicity=_word_multiplicity(word),
+                multiplicity=multiplicity,
             )
         )
 
@@ -401,6 +421,8 @@ def enumerate_orbits(
 
     Bands are reported once per cyclic word class with their corridor width
     and swept area; m-fold traversals appear with multiplicity m.
+    node_budget caps the nodes of the necklace-pruned word tree, in which
+    each closed word appears once, not once per rotation.
     """
     return _Enumerator(polygon, lmax, period_max, node_budget).run()
 
@@ -483,7 +505,8 @@ def length_spectrum(
 
     If either search runs out of budget, both still run and one
     BudgetExceeded carries the orbits and closed chains found, sorted by
-    length.
+    length. The orbit search's budget counts nodes of its necklace-pruned
+    word tree (see enumerate_orbits).
     """
     poly = (
         vertices(trapezoid_or_polygon)

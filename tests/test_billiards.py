@@ -285,6 +285,67 @@ def _crosses(p0, p1, q0, q1, tol=1e-9):
     return tol < s < 1 - tol and tol < t < 1 - tol
 
 
+def _words(n_letters, max_len):
+    """Every word up to max_len letters with no two equal neighbours."""
+    words, layer = [], [(a,) for a in range(n_letters)]
+    while layer:
+        words += layer
+        if len(layer[0]) == max_len:
+            break
+        layer = [w + (j,) for w in layer for j in range(n_letters) if j != w[-1]]
+    return words
+
+
+def _is_necklace(w):
+    return all(w <= w[i:] + w[:i] for i in range(len(w)))
+
+
+def _repetitions(w):
+    n = len(w)
+    return max(r for r in range(1, n + 1) if n % r == 0 and w == w[: n // r] * r)
+
+
+class TestNecklaceWalk:
+    MAX_LEN = 8
+
+    def _walk(self, n_letters):
+        """word -> FKM period for every word the edge-start walk admits."""
+        admitted, stack = {}, [((a,), 1) for a in range(n_letters)]
+        while stack:
+            word, period = stack.pop()
+            admitted[word] = period
+            if len(word) < self.MAX_LEN:
+                stack += [
+                    (word + (j,), p) for j, p in billiards._extensions(word, period, n_letters)
+                ]
+        return admitted
+
+    @pytest.mark.parametrize("n_letters", [3, 4])
+    def test_admits_exactly_necklace_prefixes(self, n_letters):
+        admitted = self._walk(n_letters)
+        words = _words(n_letters, self.MAX_LEN)
+        assert set(admitted) <= set(words)
+        for w in words:
+            if w in admitted:
+                # witness: a necklace extending w, found by brute force
+                layer = [w]
+                while not any(map(_is_necklace, layer)):
+                    assert len(layer[0]) < 2 * len(w), w
+                    layer = [v + (j,) for v in layer for j in range(n_letters) if j != v[-1]]
+            else:
+                # every word extending w has a smaller rotation, the one
+                # starting at i
+                assert any(w[i:] < w[: len(w) - i] for i in range(1, len(w))), w
+
+    @pytest.mark.parametrize("n_letters", [3, 4])
+    def test_closes_exactly_necklaces(self, n_letters):
+        admitted = self._walk(n_letters)
+        closed = {w for w, p in admitted.items() if len(w) % p == 0}
+        assert closed == {w for w in _words(n_letters, self.MAX_LEN) if _is_necklace(w)}
+        for w in closed:
+            assert len(w) // admitted[w] == _repetitions(w)
+
+
 class TestTrapezoidPropositions:
     def test_shortest_is_2h_or_2b(self):
         rng = np.random.default_rng(7)
@@ -350,19 +411,29 @@ class TestTrapezoidPropositions:
 
 
 class TestPlumbing:
-    def test_budget_exceeded_carries_partial(self):
-        # both searches finish unwinding and sort what they found like a
-        # full result
-        for search, order in (
-            (enumerate_orbits, lambda g: (g.length, g.word)),
-            (find_generalized_diagonals, lambda c: (c.length, c.vertex_start)),
+    def test_budget_exceeded_carries_partial(self, square_orbits):
+        # both searches finish unwinding, sort what they found like a full
+        # result and find nothing that the unbudgeted search does not
+        for search, order, full in (
+            (enumerate_orbits, lambda g: (g.length, g.word), square_orbits),
+            (
+                find_generalized_diagonals,
+                lambda c: (c.length, c.vertex_start),
+                find_generalized_diagonals(SQUARE, 10.0),
+            ),
         ):
-            with pytest.raises(BudgetExceeded) as exc:
-                search(SQUARE, 10.0, node_budget=50)
-            partial = exc.value.partial
-            assert isinstance(partial, list)
-            assert [order(o) for o in partial] == sorted(order(o) for o in partial)
-        assert partial  # the diagonal walk records chains from its first node
+            full_records = {json.dumps(o.to_dict()) for o in full}
+            for budget in (50, 3000):
+                with pytest.raises(BudgetExceeded) as exc:
+                    search(SQUARE, 10.0, node_budget=budget)
+                partial = exc.value.partial
+                assert isinstance(partial, list)
+                assert [order(o) for o in partial] == sorted(order(o) for o in partial)
+                assert {json.dumps(o.to_dict()) for o in partial} <= full_records
+                # the diagonal walk records chains from its first node; the
+                # orbit walk goes deep before its first necklace closes
+                if budget > 50 or search is find_generalized_diagonals:
+                    assert partial
 
     def test_length_spectrum_budget_drops_open_chains(self, monkeypatch):
         open_chain = ConicalChain(0, 2, (), math.sqrt(2), closed=False)

@@ -1,0 +1,90 @@
+"""enumerate_orbits against records written before necklace pruning.
+
+data/orbit_records.json holds every ClosedGeodesic that enumerate_orbits
+returned for SHAPES when the edge-start walk still started every closed word
+at each of its rotations. Restricting the walk to prenecklace words must not
+change one record: the class representative kept is the lexicographically
+least word over rotations and reversals, which is a necklace. Rewrite the
+file with `PYTHONPATH=src python tests/test_orbit_records.py` only when the
+enumeration's output is meant to change.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from trapspec.billiards import enumerate_orbits
+from trapspec.geometry import Polygon, new_trapezoid, random_trapezoid, vertices
+
+RECORDS = Path(__file__).resolve().parent / "data" / "orbit_records.json"
+RANDOM_SEED = 7
+RANDOM_DRAWS = 24
+
+
+def _rectangle(a: float, c: float) -> Polygon:
+    return Polygon([[0.0, 0.0], [c, 0.0], [c, a], [0.0, a]])
+
+
+def _shapes() -> dict[str, tuple[Polygon, float]]:
+    """name -> (polygon, lmax)."""
+    shapes = {
+        "square": (_rectangle(1.0, 1.0), 10.0),
+        "rectangle_1x1.3": (_rectangle(1.0, 1.3), 8.0),
+        "pi3_pi3": (vertices(new_trapezoid(B=2, h=1.2, alpha=math.pi / 3, beta=math.pi / 3)), 6.0),
+        "pi2_pi4": (vertices(new_trapezoid(B=1.5, h=0.8, alpha=math.pi / 2, beta=math.pi / 4)), 5.0),
+    }
+    # scaled to diameter 2 and enumerated to twice the diameter, as the
+    # orbits benchmark does
+    rng = np.random.default_rng(RANDOM_SEED)
+    for i in range(RANDOM_DRAWS):
+        t = random_trapezoid(rng, height_fraction=(0.3, 0.85))
+        s = 2.0 / vertices(t).diameter
+        poly = vertices(new_trapezoid(B=t.B * s, h=t.h * s, alpha=t.alpha, beta=t.beta))
+        shapes[f"random{i}"] = (poly, 4.0)
+    return shapes
+
+
+def _record(g) -> dict:
+    return {
+        "word": list(g.word),
+        "kind": g.kind,
+        "parity": g.parity,
+        "multiplicity": g.multiplicity,
+        "length": g.length,
+        "basepoint": g.basepoint.tolist(),
+        "direction": g.direction.tolist(),
+        "width": g.width,
+        "swept_area": g.swept_area,
+    }
+
+
+SHAPES = _shapes()
+EXACT = ("word", "kind", "parity", "multiplicity")
+CLOSE = ("length", "basepoint", "direction", "width", "swept_area")
+
+
+@pytest.fixture(scope="module")
+def expected():
+    return json.loads(RECORDS.read_text())
+
+
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_records_unchanged(name, expected):
+    poly, lmax = SHAPES[name]
+    got = [_record(g) for g in enumerate_orbits(poly, lmax)]
+    want = expected[name]
+    assert [[g[k] for k in EXACT] for g in got] == [[w[k] for k in EXACT] for w in want]
+    for g, w in zip(got, want):
+        for k in CLOSE:
+            # vector components may be zero: compare them on the shape's scale
+            np.testing.assert_allclose(g[k], w[k], rtol=1e-12, atol=1e-12 * poly.diameter)
+
+
+if __name__ == "__main__":
+    out = {name: [_record(g) for g in enumerate_orbits(poly, lmax)] for name, (poly, lmax) in SHAPES.items()}
+    RECORDS.parent.mkdir(exist_ok=True)
+    RECORDS.write_text(json.dumps(out, indent=1) + "\n")
+    print(f"{RECORDS}: {sum(map(len, out.values()))} records over {len(out)} shapes")
