@@ -1,17 +1,27 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
+import trapspec
+from trapspec import workers
 from trapspec.errors import ConvergenceError, DomainError, MeshError
 from trapspec.eigensolver import (
     DIRICHLET,
     NEUMANN,
     Spectrum,
+    _EIGSH_SEED,
     _factor,
     _restrict_dirichlet,
+    _solve_slice,
     assemble_p1,
     compute_spectrum,
     exact_rectangle_spectrum,
@@ -153,6 +163,12 @@ def small_system(request, flagship_trapezoid):
     return poly, bc, K, M, dense
 
 
+@pytest.fixture
+def slices_in_process(monkeypatch):
+    """Solve every slice in this process, where a patched scipy function is seen."""
+    monkeypatch.setattr(workers, "executor", lambda tasks: workers.in_process)
+
+
 def assert_matches_dense(ev, dense):
     # the Neumann zero eigenvalue is compared absolutely
     n = len(ev)
@@ -186,7 +202,7 @@ class TestInertiaSlicing:
         ev = lowest_eigenvalues(K, M, n, poly.area, poly.perimeter, bc)
         assert_matches_dense(ev, dense)
 
-    def test_bounds_extended_when_weyl_falls_short(self, small_system, monkeypatch):
+    def test_bounds_extended_when_weyl_falls_short(self, small_system, monkeypatch, slices_in_process):
         poly, bc, K, M, dense = small_system
         calls = []
         eigsh = spla.eigsh
@@ -202,7 +218,7 @@ class TestInertiaSlicing:
         assert_matches_dense(ev, dense)
         assert len(calls) > 2  # one slice per added bound; the true area needs two
 
-    def test_dropped_ritz_value_is_an_error(self, small_system, monkeypatch):
+    def test_dropped_ritz_value_is_an_error(self, small_system, monkeypatch, slices_in_process):
         poly, bc, K, M, dense = small_system
         eigsh = spla.eigsh
 
@@ -213,6 +229,111 @@ class TestInertiaSlicing:
         monkeypatch.setattr(spla, "eigsh", drop_nearest)
         with pytest.raises(ConvergenceError):
             lowest_eigenvalues(K, M, len(dense) // 2, poly.area, poly.perimeter, bc)
+
+
+# 961 interior nodes; n = 300 needs two slices of at most 250 eigenvalues
+SQUARE_H = 1 / 32
+SQUARE_N = 300
+
+
+@pytest.fixture(scope="module")
+def square_system():
+    """(K, M, dense eigenvalues) of the Dirichlet unit square on an h = 1/32 mesh."""
+    mesh = triangulate(UNIT_SQUARE, SQUARE_H)
+    K, M = _restrict_dirichlet(*assemble_p1(mesh), mesh.boundary_mask)
+    return K, M, sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    pool = workers.WorkerPool(2)
+    yield pool
+    pool.close()
+
+
+class TestWorkerPool:
+    def test_pool_matches_in_process(self, square_system, pool, monkeypatch):
+        K, M, dense = square_system
+
+        def solve(run):
+            monkeypatch.setattr(workers, "executor", lambda tasks: run)
+            return lowest_eigenvalues(K, M, SQUARE_N, UNIT_SQUARE.area, UNIT_SQUARE.perimeter, DIRICHLET)
+
+        here = solve(workers.in_process)
+        first, second = solve(pool.run), solve(pool.run)
+        assert_matches_dense(here, dense)
+        assert_matches_dense(first, dense)
+        assert np.all(np.abs(first - here) <= 1e-9 * here)
+        assert np.array_equal(first, second)
+
+    def test_worker_error_reaches_caller(self, square_system, pool):
+        K, M, dense = square_system
+        lo, hi = -1.0, 0.5 * (dense[9] + dense[10])
+        v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(K.shape[0])
+        call = (_solve_slice, (K, M, lo, hi, 11, v0))  # the slice holds 10
+        with pytest.raises(ConvergenceError) as here:
+            workers.in_process([call])
+        with pytest.raises(ConvergenceError) as there:
+            pool.run([call])
+        assert type(there.value) is ConvergenceError
+        assert str(there.value) == str(here.value)
+        # the pool still serves calls after a failed one
+        assert_matches_dense(pool.run([(_solve_slice, (K, M, lo, hi, 10, v0))])[0], dense)
+
+    def test_concurrent_runs_keep_call_order(self):
+        # more workers than cores and calls of uneven length, so replies
+        # arrive out of order; three threads share the pool
+        pool = workers.WorkerPool(workers.cores() + 1)
+        batches = [[(3001 * (i + t)) % 4000 for i in range(40)] for t in range(3)]
+        got = {}
+
+        def run(t):
+            got[t] = pool.run((math.factorial, (k,)) for k in batches[t])
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(3)]
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+            assert not any(th.is_alive() for th in threads)
+        finally:
+            pool.close()
+        for t, batch in enumerate(batches):
+            assert got[t] == [math.factorial(k) for k in batch]
+
+    def test_workers_use_one_blas_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        pool = workers.WorkerPool(1)
+        try:
+            assert pool.run([(os.getenv, ("OPENBLAS_NUM_THREADS",))]) == ["1"]
+        finally:
+            pool.close()
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+    def test_unguarded_script_runs_once(self, tmp_path, slices_in_process):
+        script = tmp_path / "script.py"
+        script.write_text(textwrap.dedent(f"""\
+            import numpy as np
+            from trapspec.eigensolver import compute_spectrum
+            from trapspec.geometry import Polygon
+
+            with open("runs.txt", "a") as f:
+                f.write("top level\\n")
+            square = Polygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
+            ev = compute_spectrum(square, n={SQUARE_N}, mesh_size={SQUARE_H}, refine_levels=1).eigenvalues
+            np.save("ev.npy", ev)
+        """))
+        src = str(Path(trapspec.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "script.py"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "runs.txt").read_text().splitlines() == ["top level"]
+        ev = np.load(tmp_path / "ev.npy")
+        here = compute_spectrum(UNIT_SQUARE, n=SQUARE_N, mesh_size=SQUARE_H, refine_levels=1).eigenvalues
+        assert np.all(np.abs(ev - here) <= 1e-9 * here)
 
 
 class TestMesh:
