@@ -9,6 +9,12 @@ search started at a vertex instead of an edge. Started from an edge, the
 search visits only prenecklace words (the FKM test of Ruskey, Savage & Wang,
 J. Algorithms 13 (1992)) and closes only necklaces, so each closed word is
 walked once rather than once per cyclic rotation.
+
+The subtree of each start is walked on its own, so `length_spectrum` sends
+the edge starts of the orbit search and the vertex starts of the diagonal
+search to the `workers` pool as one batch. The parent merges the replies in
+start order under the node budget of each search, so records, their order
+and their float bits are those of one serial walk, on any number of cores.
 """
 
 from __future__ import annotations
@@ -19,11 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import workers
 from .errors import BudgetExceeded, DomainError
 from .geometry import Polygon, Trapezoid, vertices
 from .planar import Isometry, _hull_pts, cross2, hulls_separated, seg_dist_pts
 
 DEFAULT_PERIOD_MAX = 24
+DIAGONAL_PERIOD_MAX = 16
 DEFAULT_NODE_BUDGET = 2_000_000
 _VERTEX_TOL = 1e-9  # times diameter: "hits a vertex" threshold
 _PI_OVER_N_MAX = 64
@@ -195,23 +203,21 @@ def _clears(px, py, dx, dy, lhull, rhull, tol, skip=None) -> bool:
 class _Enumerator:
     """Depth-first search over reflection words with corridor-beam pruning.
 
-    The walk starts from an edge (closed orbits: every corridor line crosses
-    it) or from a vertex (generalized diagonals: the vertex sits in both
-    hulls, so every corridor line passes through it). Each node hands its
-    word, period, isometry, hulls and mapped mirror endpoints to a visit step.
-    Edge-start words are prenecklaces carrying their FKM period p; a word
-    closes only when p divides its length, i.e. when it is a necklace, the
-    least of its rotations, and it is then the m-fold traversal of its first
-    p letters with m = len(word) // p. Words are visited in lexicographic
-    order, so the record kept for each class under rotation and reversal is
-    still its least word. `nodes` counts the nodes of this pruned tree.
+    `run` and `diagonals` each walk the subtree of one start: an edge (closed
+    orbits: every corridor line crosses it) or a vertex (generalized
+    diagonals: the vertex sits in both hulls, so every corridor line passes
+    through it). Each node hands its word, period, isometry, hulls and mapped
+    mirror endpoints to a visit step. Edge-start words are prenecklaces
+    carrying their FKM period p; a word closes only when p divides its
+    length, i.e. when it is a necklace, the least of its rotations, and it is
+    then the m-fold traversal of its first p letters with m = len(word) // p.
+    Words are visited in lexicographic order, so the record kept for each
+    class under rotation and reversal is still its least word. `nodes`
+    counts the nodes walked in this pruned tree; past `node_budget` the walk
+    stops recording and unwinds.
     """
 
     def __init__(self, polygon: Polygon, lmax: float, period_max: int, node_budget: int):
-        if lmax <= 0:
-            raise DomainError("lmax must be positive")
-        if period_max > 64:
-            raise DomainError("period_max above the configured cap")
         self.polygon = polygon
         self.lmax = lmax
         self.period_max = period_max
@@ -227,58 +233,27 @@ class _Enumerator:
         self.scale = polygon.diameter
         self.tol = _VERTEX_TOL * self.scale
         self.found: dict[tuple, ClosedGeodesic | ConicalChain] = {}
-        self.complete = True
 
-    def run(self) -> list[ClosedGeodesic]:
+    def run(self, first: int) -> None:
+        """Walk the prenecklace words that begin with edge `first`."""
         self._start, self._visit = None, self._try_close
-        for first in range(self.n_edges):
-            (ax, ay), (bx, by) = self.edges[first].tolist()
-            self._s1 = (ax, ay, bx, by)
-            # identity copy is CCW: interior left of v0->v1
-            self._dfs((first,), 1, self.reflections[first], [(bx, by)], [(ax, ay)])
-        return self._result(key=lambda g: (g.length, g.word))
+        (ax, ay), (bx, by) = self.edges[first].tolist()
+        self._s1 = (ax, ay, bx, by)
+        # identity copy is CCW: interior left of v0->v1
+        self._dfs((first,), 1, self.reflections[first], [(bx, by)], [(ax, ay)])
 
-    def diagonals(self) -> list[ConicalChain]:
-        """Vertex-to-vertex chains from every vertex, after the on-edge orbits."""
-        angles = self.polygon.interior_angles()
-        edges, nv, lmax = self.edges, self.n_edges, self.lmax
-        for k in range(nv):
-            a1, a2 = angles[k], angles[(k + 1) % nv]
-            if a1 >= math.pi / 2 - 1e-12 and a2 >= math.pi / 2 - 1e-12:
-                elen = float(np.linalg.norm(edges[k, 1] - edges[k, 0]))
-                diff = not (_pi_over_n(a1) and _pi_over_n(a2))
-                m = 1
-                while 2 * m * elen <= lmax * (1 + 1e-12):
-                    self.found[("edge", k, m)] = ConicalChain(
-                        vertex_start=k,
-                        vertex_end=(k + 1) % nv,
-                        word=(k,),
-                        length=2 * m * elen,
-                        closed=True,
-                        on_boundary=True,
-                        diffractive=diff,
-                    )
-                    m += 1
-        self._rational = [_pi_over_n(a) for a in angles]
+    def diagonals(self, vi: int) -> None:
+        """Walk the vertex-to-vertex chains that leave vertex `vi`."""
+        self._rational = [_pi_over_n(a) for a in self.polygon.interior_angles()]
         self._visit = self._try_vertex
-        for vi, (px, py) in enumerate(self.polygon.vertices.tolist()):
-            self._start, self._vi = (px, py), vi
-            self._s1 = (px, py, px, py)
-            self._dfs((), None, Isometry.identity(), [(px, py)], [(px, py)])
-        return self._result(key=lambda c: (c.length, c.vertex_start))
-
-    def _result(self, key) -> list:
-        out = sorted(self.found.values(), key=key)
-        if not self.complete:
-            raise BudgetExceeded(
-                f"word-tree budget of {self.node_budget} nodes exhausted", partial=out
-            )
-        return out
+        px, py = self.polygon.vertices[vi].tolist()
+        self._start, self._vi = (px, py), vi
+        self._s1 = (px, py, px, py)
+        self._dfs((), None, Isometry.identity(), [(px, py)], [(px, py)])
 
     def _dfs(self, word, period, m, lhull, rhull):
         self.nodes += 1
         if self.nodes > self.node_budget:
-            self.complete = False
             return
         pts = m(self.endpoints).tolist()
         self._visit(word, period, m, lhull, rhull, pts)
@@ -411,6 +386,123 @@ class _Enumerator:
         )
 
 
+def _walk_start(polygon, lmax, period_max, node_budget, start) -> tuple[dict, int]:
+    """The records of one start's subtree, keyed as its search keeps them, and
+    the subtree's node count. `start` is ("edge", k) or ("vertex", k)."""
+    walker = _Enumerator(polygon, lmax, period_max, node_budget)
+    kind, index = start
+    (walker.run if kind == "edge" else walker.diagonals)(index)
+    return walker.found, walker.nodes
+
+
+def _edge_orbits(polygon: Polygon, lmax: float) -> dict:
+    """On-edge orbits (lengths 2m|e|), keyed as the diagonal search keeps them."""
+    angles = polygon.interior_angles()
+    edges = polygon.edges()
+    nv = len(edges)
+    found = {}
+    for k in range(nv):
+        a1, a2 = angles[k], angles[(k + 1) % nv]
+        if a1 >= math.pi / 2 - 1e-12 and a2 >= math.pi / 2 - 1e-12:
+            elen = float(np.linalg.norm(edges[k, 1] - edges[k, 0]))
+            diff = not (_pi_over_n(a1) and _pi_over_n(a2))
+            m = 1
+            while 2 * m * elen <= lmax * (1 + 1e-12):
+                found[("edge", k, m)] = ConicalChain(
+                    vertex_start=k,
+                    vertex_end=(k + 1) % nv,
+                    word=(k,),
+                    length=2 * m * elen,
+                    closed=True,
+                    on_boundary=True,
+                    diffractive=diff,
+                )
+                m += 1
+    return found
+
+
+@dataclass(frozen=True)
+class _Search:
+    """One word search as independent walks, one per edge or vertex start.
+
+    Merged in start order, keeping the first record of each key, the walks
+    give the records of one serial walk over every start, in its order and
+    bit for bit. `node_budget` bounds the whole search, not each start.
+    """
+
+    polygon: Polygon
+    lmax: float
+    period_max: int
+    node_budget: int
+    kind: str  # "edge": closed orbits; "vertex": generalized diagonals
+
+    def __post_init__(self):
+        if self.lmax <= 0:
+            raise DomainError("lmax must be positive")
+        if self.period_max > 64:
+            raise DomainError("period_max above the configured cap")
+
+    @property
+    def starts(self) -> list[tuple[str, int]]:
+        return [(self.kind, k) for k in range(len(self.polygon.vertices))]
+
+    def merge(self, replies) -> tuple[list, bool]:
+        """The sorted records and whether the search kept within its budget.
+
+        Each reply is a start walked on the whole budget. Where the summed
+        node counts first pass it, the serial walk ran out inside that start:
+        the start is walked again on the budget left before it, and the
+        starts after it, which the serial walk cuts at their first node, are
+        dropped.
+        """
+        found = _edge_orbits(self.polygon, self.lmax) if self.kind == "vertex" else {}
+        left = self.node_budget
+        complete = True
+        for start, (part, nodes) in zip(self.starts, replies):
+            complete = nodes <= left
+            if not complete:
+                part, _ = _walk_start(self.polygon, self.lmax, self.period_max, left, start)
+            for key, record in part.items():
+                found.setdefault(key, record)
+            if not complete:
+                break
+            left -= nodes
+        if self.kind == "edge":
+            records = sorted(found.values(), key=lambda g: (g.length, g.word))
+        else:
+            records = sorted(found.values(), key=lambda c: (c.length, c.vertex_start))
+        return records, complete
+
+
+def _searched(*searches: _Search) -> list[tuple[list, bool]]:
+    """Each search's sorted records and whether it kept within its budget.
+
+    The start walks of all the searches go to `workers.executor` as one
+    batch, the first edge's first: a prenecklace begins with its least
+    letter, so that subtree is the largest.
+    """
+    batch = [(i, start) for i, search in enumerate(searches) for start in search.starts]
+    batch.sort(key=lambda item: item[1] != ("edge", 0))
+    calls = []
+    for i, start in batch:
+        s = searches[i]
+        calls.append((_walk_start, (s.polygon, s.lmax, s.period_max, s.node_budget, start)))
+    replies = dict(zip(batch, workers.executor(len(calls))(calls)))
+    return [
+        search.merge([replies[i, start] for start in search.starts])
+        for i, search in enumerate(searches)
+    ]
+
+
+def _budgeted(search: _Search) -> list:
+    [(records, complete)] = _searched(search)
+    if not complete:
+        raise BudgetExceeded(
+            f"word-tree budget of {search.node_budget} nodes exhausted", partial=records
+        )
+    return records
+
+
 def enumerate_orbits(
     polygon: Polygon,
     lmax: float,
@@ -424,13 +516,13 @@ def enumerate_orbits(
     node_budget caps the nodes of the necklace-pruned word tree, in which
     each closed word appears once, not once per rotation.
     """
-    return _Enumerator(polygon, lmax, period_max, node_budget).run()
+    return _budgeted(_Search(polygon, lmax, period_max, node_budget, "edge"))
 
 
 def find_generalized_diagonals(
     polygon: Polygon,
     lmax: float,
-    period_max: int = 16,
+    period_max: int = DIAGONAL_PERIOD_MAX,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[ConicalChain]:
     """Vertex-to-vertex straight chains in the unfolding, plus edge orbits.
@@ -439,7 +531,7 @@ def find_generalized_diagonals(
     its endpoint angles are at least pi/2; chains that return to their start
     vertex are closed conical geodesics (e.g. the doubled altitude orbits).
     """
-    return _Enumerator(polygon, lmax, period_max, node_budget).diagonals()
+    return _budgeted(_Search(polygon, lmax, period_max, node_budget, "vertex"))
 
 
 # ---- Poincare map -----------------------------------------------------------
@@ -488,14 +580,6 @@ def poincare_map(polygon: Polygon, geodesic: ClosedGeodesic) -> PoincareData:
 # ---- length spectrum and shortest orbit -------------------------------------
 
 
-def _searched(search, *args, **kwargs) -> tuple[list, bool]:
-    """A search's results and whether it finished within its node budget."""
-    try:
-        return search(*args, **kwargs), True
-    except BudgetExceeded as exc:
-        return exc.partial, False
-
-
 def length_spectrum(
     trapezoid_or_polygon,
     lmax: float,
@@ -513,8 +597,10 @@ def length_spectrum(
         if isinstance(trapezoid_or_polygon, Trapezoid)
         else trapezoid_or_polygon
     )
-    orbits, orbits_done = _searched(enumerate_orbits, poly, lmax, period_max=period_max)
-    chains, chains_done = _searched(find_generalized_diagonals, poly, lmax)
+    (orbits, orbits_done), (chains, chains_done) = _searched(
+        _Search(poly, lmax, period_max, DEFAULT_NODE_BUDGET, "edge"),
+        _Search(poly, lmax, DIAGONAL_PERIOD_MAX, DEFAULT_NODE_BUDGET, "vertex"),
+    )
     orbits = list(orbits) + [c for c in chains if c.closed]
     orbits.sort(key=lambda o: o.length)
     if not (orbits_done and chains_done):

@@ -1,6 +1,8 @@
-"""A process pool for independent numerical calls, such as spectrum slices.
+"""A process pool for independent numerical calls.
 
-Each worker is a fresh interpreter started as
+The eigensolver sends it spectrum slices, and the billiard word search the
+subtree of each start edge and start vertex. Each worker is a fresh
+interpreter started as
 `python -c "from trapspec.workers import serve; serve()"`: not a fork, and
 not a re-run of the caller's `__main__` (multiprocessing's spawn does that),
 so a script without an `if __name__ == "__main__"` guard still runs its top

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from trapspec import billiards
+from trapspec import billiards, workers
 from trapspec.billiards import (
     ClosedGeodesic,
     ConicalChain,
@@ -435,15 +435,54 @@ class TestPlumbing:
                 if budget > 50 or search is find_generalized_diagonals:
                     assert partial
 
+    @pytest.mark.parametrize("kind", ["edge", "vertex"])
+    def test_pooled_budget_partial_is_serial(self, kind, monkeypatch):
+        if kind == "edge":
+            search, period_max = enumerate_orbits, billiards.DEFAULT_PERIOD_MAX
+            order = lambda g: (g.length, g.word)
+        else:
+            search, period_max = find_generalized_diagonals, billiards.DIAGONAL_PERIOD_MAX
+            order = lambda c: (c.length, c.vertex_start)
+
+        # reference: one walker over every start, one node count for them all
+        def serial(budget):
+            walker = billiards._Enumerator(SQUARE, 10.0, period_max, budget)
+            if kind == "vertex":
+                walker.found.update(billiards._edge_orbits(SQUARE, 10.0))
+            for k in range(4):
+                (walker.run if kind == "edge" else walker.diagonals)(k)
+            records = sorted(walker.found.values(), key=order)
+            return [o.to_dict() for o in records], walker.nodes <= budget
+
+        def searched(budget):
+            try:
+                records, complete = search(SQUARE, 10.0, node_budget=budget), True
+            except BudgetExceeded as exc:
+                records, complete = exc.partial, False
+            return [o.to_dict() for o in records], complete
+
+        # out of budget in the first start, exactly at its end, inside the
+        # second start, and exactly at the end of the last
+        nodes = [
+            billiards._walk_start(SQUARE, 10.0, period_max, 10**6, (kind, k))[1] for k in range(4)
+        ]
+        budgets = (50, 3000, nodes[0], nodes[0] + 500, sum(nodes))
+        pooled = [searched(budget) for budget in budgets]
+        monkeypatch.setattr(workers, "cores", lambda: 1)
+        for budget, got in zip(budgets, pooled):
+            assert got == searched(budget) == serial(budget), budget
+        assert [complete for _, complete in pooled] == [False] * 4 + [True]
+
     def test_length_spectrum_budget_drops_open_chains(self, monkeypatch):
         open_chain = ConicalChain(0, 2, (), math.sqrt(2), closed=False)
         closed_chain = ConicalChain(0, 0, (1, 2), 2.5, closed=True)
+        searched = billiards._searched
 
-        def exhausted(*args, **kwargs):
-            raise BudgetExceeded("budget exhausted", partial=[open_chain, closed_chain])
+        def exhausted(orbit_search, chain_search):
+            return searched(orbit_search) + [([open_chain, closed_chain], False)]
 
         orbits = enumerate_orbits(SQUARE, 3.0)
-        monkeypatch.setattr(billiards, "find_generalized_diagonals", exhausted)
+        monkeypatch.setattr(billiards, "_searched", exhausted)
         with pytest.raises(BudgetExceeded) as exc:
             length_spectrum(SQUARE, 3.0)
         expected = sorted(orbits + [closed_chain], key=lambda o: o.length)
@@ -451,13 +490,14 @@ class TestPlumbing:
 
     def test_length_spectrum_budget_keeps_closed_chains(self, monkeypatch):
         orbit = enumerate_orbits(SQUARE, 3.0)[0]
+        searched = billiards._searched
 
-        def exhausted(*args, **kwargs):
-            raise BudgetExceeded("budget exhausted", partial=[orbit])
+        def exhausted(orbit_search, chain_search):
+            return [([orbit], False)] + searched(chain_search)
 
         closed = [c for c in find_generalized_diagonals(SQUARE, 3.0) if c.closed]
         assert closed
-        monkeypatch.setattr(billiards, "enumerate_orbits", exhausted)
+        monkeypatch.setattr(billiards, "_searched", exhausted)
         with pytest.raises(BudgetExceeded) as exc:
             length_spectrum(SQUARE, 3.0)
         expected = sorted([orbit] + closed, key=lambda o: o.length)

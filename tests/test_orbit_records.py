@@ -7,6 +7,9 @@ change one record: the class representative kept is the lexicographically
 least word over rotations and reversals, which is a necklace. Rewrite the
 file with `PYTHONPATH=src python tests/test_orbit_records.py` only when the
 enumeration's output is meant to change.
+
+The same shapes check that the searches give the same bytes whether their
+start walks run on the worker pool or in-process.
 """
 
 import json
@@ -16,7 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trapspec.billiards import enumerate_orbits
+from trapspec import workers
+from trapspec.billiards import enumerate_orbits, find_generalized_diagonals, length_spectrum
 from trapspec.geometry import Polygon, new_trapezoid, random_trapezoid, vertices
 
 RECORDS = Path(__file__).resolve().parent / "data" / "orbit_records.json"
@@ -81,6 +85,28 @@ def test_records_unchanged(name, expected):
         for k in CLOSE:
             # vector components may be zero: compare them on the shape's scale
             np.testing.assert_allclose(g[k], w[k], rtol=1e-12, atol=1e-12 * poly.diameter)
+
+
+def _outputs(poly, lmax) -> tuple:
+    """Every output of the three searches, float fields as their exact bytes."""
+    return (
+        length_spectrum(poly, lmax).to_json_lines(),
+        [
+            (json.dumps(g.to_dict()), g.basepoint.tobytes(), g.direction.tobytes())
+            for g in enumerate_orbits(poly, lmax)
+        ],
+        [json.dumps(c.to_dict()) for c in find_generalized_diagonals(poly, lmax)],
+    )
+
+
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_pool_matches_one_core(name, monkeypatch):
+    # the start walks run on the worker pool when there are two cores or
+    # more, in-process on one; the merged outputs must not tell which
+    poly, lmax = SHAPES[name]
+    pooled = _outputs(poly, lmax)
+    monkeypatch.setattr(workers, "cores", lambda: 1)
+    assert _outputs(poly, lmax) == pooled
 
 
 if __name__ == "__main__":
