@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -27,7 +26,15 @@ from .errors import NoiseFloor, TrapspecError
 from .geometry import Polygon, Trapezoid, new_trapezoid, vertices
 from .heat_trace import fit_invariants
 from .inverse import ReconstructConfig, check_isospectral_consistency, scan_and_reconstruct
-from .wave_trace import classify_candidate, estimate_order, probe, scan_peaks
+from .wave_trace import (
+    DEFAULT_SIGMA,
+    PEAK_THRESHOLD,
+    classify_candidate,
+    estimate_order,
+    order_frequencies,
+    probe,
+    scan_peaks,
+)
 
 
 def _load_domain(path: str):
@@ -131,9 +138,8 @@ def _cmd_wavetrace(args) -> int:
     }
     _write(json.dumps(out, indent=2), args.out)
     if args.probe_t0 is not None and args.probe_out is not None:
-        k_max = math.sqrt(spec.eigenvalues[-1])
-        ks = np.geomspace(0.15 * k_max, 0.6 * k_max, 30)
-        Path(args.probe_out).write_text(probe(spec, args.probe_t0, sigma, ks).to_csv())
+        profile = probe(spec, args.probe_t0, sigma, order_frequencies(spec))
+        Path(args.probe_out).write_text(profile.to_csv())
     return 0
 
 
@@ -204,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("orbits", help="closed-geodesic length spectrum")
     s.add_argument("domain")
     s.add_argument("--lmax", type=float, required=True)
-    s.add_argument("--period-max", type=int, default=24)
+    s.add_argument("--period-max", type=int, default=billiards.DEFAULT_PERIOD_MAX)
     s.add_argument("--svg", default=None)
     s.add_argument("--out", default=None)
     s.set_defaults(func=_cmd_orbits)
@@ -213,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("spectrum")
     s.add_argument("--t-lo", type=float, required=True)
     s.add_argument("--t-hi", type=float, required=True)
-    s.add_argument("--sigma", type=float, default=0.15)
-    s.add_argument("--threshold", type=float, default=5.0)
+    s.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
+    s.add_argument("--threshold", type=float, default=PEAK_THRESHOLD)
     s.add_argument("--probe-t0", type=float, default=None)
     s.add_argument("--probe-out", default=None)
     s.add_argument("--out", default=None)
@@ -222,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("reconstruct", help="recover the domain from a spectrum")
     s.add_argument("spectrum")
-    s.add_argument("--min-n", type=int, default=800)
-    s.add_argument("--rect-tol", type=float, default=1e-2)
-    s.add_argument("--tol", type=float, default=0.05)
+    s.add_argument("--min-n", type=int, default=ReconstructConfig.min_eigenvalues)
+    s.add_argument("--rect-tol", type=float, default=ReconstructConfig.rectangle_q_tol)
+    s.add_argument("--tol", type=float, default=ReconstructConfig.invariant_rel_tol)
     s.add_argument("--sigma", type=float, default=None)
     s.add_argument("--fit-t-min", type=float, default=None)
     s.add_argument("--fit-t-max", type=float, default=None)

@@ -54,11 +54,15 @@ class Spectrum:
         ev = np.asarray(self.eigenvalues, dtype=float)
         if np.any(np.diff(ev) < -1e-9 * max(1.0, abs(ev[-1]) if len(ev) else 1.0)):
             raise DomainError("eigenvalues must be sorted ascending")
-        self.eigenvalues = np.sort(ev)
+        order = np.argsort(ev, kind="stable")  # each accuracy stays with its eigenvalue
+        self.eigenvalues = ev[order]
         if self.boundary_condition not in (DIRICHLET, NEUMANN):
             raise DomainError(f"unknown boundary condition {self.boundary_condition!r}")
         if self.accuracy is not None:
-            self.accuracy = np.asarray(self.accuracy, dtype=float)
+            acc = np.asarray(self.accuracy, dtype=float)
+            if acc.shape != ev.shape:
+                raise DomainError("accuracy must hold one entry per eigenvalue")
+            self.accuracy = acc[order]
 
     @property
     def count(self) -> int:
@@ -322,10 +326,12 @@ def compute_spectrum(
         ev = ev.copy()
         ev[0] = max(ev[0], 0.0) if abs(ev[0]) < 1e-6 * max(ev[-1], 1.0) else ev[0]
 
+    # extrapolation pairs modes by index, which can leave them out of order
+    order = np.argsort(ev, kind="stable")
     return Spectrum(
-        eigenvalues=np.sort(ev),
+        eigenvalues=ev[order],
         boundary_condition=bc,
-        accuracy=acc,
+        accuracy=acc[order],
         source_domain=polygon,
     )
 

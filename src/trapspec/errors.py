@@ -66,6 +66,3 @@ class InvariantMismatch(TrapspecError):
 class TruncationWarning(UserWarning):
     """Heat-trace truncation tail above the advisory threshold."""
 
-
-class WindowOverlapWarning(UserWarning):
-    """A second known orbit length lies within the probe window."""

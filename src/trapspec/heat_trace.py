@@ -85,7 +85,6 @@ def fit_invariants(
     spectrum: Spectrum,
     t_window: tuple[float, float] | None = None,
     grid_size: int = 40,
-    include_corner: bool = True,
 ) -> HeatInvariants:
     """Weighted least-squares fit of the small-time heat trace expansion.
 
@@ -121,10 +120,9 @@ def fit_invariants(
         y = heat_trace_partial(spectrum, ts)
 
     sign = -1.0 if spectrum.boundary_condition == DIRICHLET else 1.0
-    cols = [1.0 / (4 * math.pi * ts), sign / (8 * np.sqrt(math.pi * ts))]
-    if include_corner:
-        cols.append(np.ones_like(ts))
-    design = np.column_stack(cols)
+    design = np.column_stack(
+        [1.0 / (4 * math.pi * ts), sign / (8 * np.sqrt(math.pi * ts)), np.ones_like(ts)]
+    )
     w = np.sqrt(ts)
     dw = design * w[:, None]
     yw = y * w
@@ -135,7 +133,7 @@ def fit_invariants(
     resid = dw @ coef - yw
     area = float(coef[0])
     perimeter = float(coef[1])
-    corner = float(coef[2]) if include_corner else 0.0
+    corner = float(coef[2])
     return HeatInvariants(
         area=area,
         perimeter=perimeter,

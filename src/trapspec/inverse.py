@@ -50,6 +50,7 @@ from .geometry import (
 from .heat_trace import fit_invariants
 from .wave_trace import (
     DEFAULT_SIGMA,
+    PEAK_THRESHOLD,
     SingularityCandidate,
     classify_candidate,
     estimate_order,
@@ -112,23 +113,32 @@ def _beta_from_q(alpha: float, q: float) -> float:
     return corner_f_inverse(v)
 
 
-def _angle_roots(residual, lo: float, hi: float, scale: float):
-    """Roots of an angle residual on [lo, hi], plus the best near-miss.
+_ANGLE_XTOL = 1e-12  # angle resolution of every refinement, radians
+
+
+def _min_residual(residual, a_lo: float, a_hi: float) -> float:
+    """The alpha in [a_lo, a_hi] that minimizes the squared residual."""
+    r = minimize_scalar(
+        lambda a: residual(a) ** 2,
+        bounds=(a_lo, a_hi),
+        method="bounded",
+        options={"xatol": _ANGLE_XTOL},
+    )
+    return float(r.x)
+
+
+def _angle_roots(residual, grid: np.ndarray, vals: list[float], scale: float) -> list[float]:
+    """Distinct roots of an angle residual, given its values on a scan grid.
 
     The residuals that arise here are not monotone in alpha: they have a
     critical point at the isosceles endpoint and can graze zero tangentially.
-    Scan a grid, group near-zero stretches and sign changes into root
-    clusters, and refine each. Returns (distinct_roots, best_alpha, best_abs)
-    where the last two describe the global minimum of |residual| so callers
-    with noisy inputs can accept a near-miss within their own tolerance.
+    Group near-zero stretches and sign changes of the scan into root
+    clusters, and refine each.
     """
-    xtol = 1e-12  # angle resolution of every refinement, radians
-    grid = np.linspace(lo, hi, 257)
-    vals = [residual(a) for a in grid]
     tol_res = 1e-10 * max(scale, 1.0)
     # a vanishing left endpoint is the isosceles solution, exact in closed form
     if abs(vals[0]) <= 1e-13 * max(scale, 1.0):
-        return [lo], lo, abs(vals[0])
+        return [float(grid[0])]
     flags = [abs(v) <= tol_res for v in vals]
     n = len(grid)
     roots = []
@@ -140,19 +150,13 @@ def _angle_roots(residual, lo: float, hi: float, scale: float):
                 j += 1
             a_lo, a_hi = grid[max(i - 1, 0)], grid[min(j + 1, n - 1)]
             if vals[max(i - 1, 0)] * vals[min(j + 1, n - 1)] < 0:
-                roots.append(brentq(residual, a_lo, a_hi, xtol=xtol))
+                roots.append(brentq(residual, a_lo, a_hi, xtol=_ANGLE_XTOL))
             else:
                 # tangential near-zero: locate the minimum of the squared residual
-                r = minimize_scalar(
-                    lambda a: residual(a) ** 2,
-                    bounds=(a_lo, a_hi),
-                    method="bounded",
-                    options={"xatol": xtol},
-                )
-                roots.append(float(r.x))
+                roots.append(_min_residual(residual, a_lo, a_hi))
             i = j + 1
         elif i + 1 < n and not flags[i + 1] and vals[i] * vals[i + 1] < 0:
-            roots.append(brentq(residual, grid[i], grid[i + 1], xtol=xtol))
+            roots.append(brentq(residual, grid[i], grid[i + 1], xtol=_ANGLE_XTOL))
             i += 1
         else:
             i += 1
@@ -160,16 +164,7 @@ def _angle_roots(residual, lo: float, hi: float, scale: float):
     for r in sorted(roots):
         if not distinct or r - distinct[-1] > 1e-4:
             distinct.append(r)
-    k = int(np.argmin(np.abs(vals)))
-    a_lo, a_hi = grid[max(k - 1, 0)], grid[min(k + 1, n - 1)]
-    best = minimize_scalar(
-        lambda a: residual(a) ** 2,
-        bounds=(a_lo, a_hi),
-        method="bounded",
-        options={"xatol": xtol},
-    )
-    best_alpha = float(best.x)
-    return distinct, best_alpha, abs(residual(best_alpha))
+    return distinct
 
 
 def _check_q(q: float) -> None:
@@ -205,14 +200,19 @@ def _solve_alpha(
     runner-up is within 10x its miss. Without L, two candidates are
     NonUniqueSolution.
     """
-    roots, best_alpha, best_miss = _angle_roots(
-        lambda a: residual(a, _beta_from_q(a, q)),
-        corner_f_inverse(q / 2.0),  # isosceles end of the alpha range
-        math.pi / 2,
-        scale,
-    )
-    if not roots and near_miss > 0 and best_miss <= near_miss * max(abs(scale), 1.0):
-        roots = [best_alpha]
+    def along_q(a):
+        return residual(a, _beta_from_q(a, q))
+
+    # scan from the isosceles end of the alpha range
+    grid = np.linspace(corner_f_inverse(q / 2.0), math.pi / 2, 257)
+    vals = [along_q(a) for a in grid]
+    roots = _angle_roots(along_q, grid, vals, scale)
+    if not roots and near_miss > 0:
+        # the minimum of |residual|, bracketed by the grid points around its smallest sample
+        k = int(np.argmin(np.abs(vals)))
+        best = _min_residual(along_q, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
+        if abs(along_q(best)) <= near_miss * max(abs(scale), 1.0):
+            roots = [best]
     cands = []
     reason = f"no base angle in [F^-1(q/2), pi/2] zeroes the residual at q = {q}"
     for alpha in roots:
@@ -445,7 +445,6 @@ def solve_alpha_right(A: float, L: float, q: float) -> list[Trapezoid]:
 # wave-trace scan of the pipeline: peaks above PEAK_THRESHOLD x background on
 # [SCAN_T_START, fitted perimeter], cross-validated against orbits of period
 # at most ORBIT_PERIOD_MAX
-PEAK_THRESHOLD = 5.0
 SCAN_T_START = 0.3
 ORBIT_PERIOD_MAX = 12
 
@@ -586,7 +585,7 @@ def scan_and_reconstruct(
         )
 
     sigma = cfg.sigma if cfg.sigma is not None else DEFAULT_SIGMA
-    peaks = scan_peaks(spectrum, (SCAN_T_START, L), sigma, threshold=PEAK_THRESHOLD)
+    peaks = scan_peaks(spectrum, (SCAN_T_START, L), sigma)
     peaks.sort(key=lambda c: c.t0)
     evidence: list[SingularityCandidate] = []
     match_tol = 2 * sigma

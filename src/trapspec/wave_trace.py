@@ -16,17 +16,17 @@ from __future__ import annotations
 import io
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoiseFloor, WindowOverlapWarning
+from .errors import DomainError, NoiseFloor
 from .eigensolver import Spectrum
 
 CLASS_MARGIN = 0.25
 AMBIGUITY_BAND = 0.05  # distance to a class boundary that triggers "ambiguous"
 DEFAULT_SIGMA = 0.15  # window width when none is configured
+PEAK_THRESHOLD = 5.0  # scan peaks must exceed this multiple of the background
 
 
 @dataclass
@@ -68,29 +68,17 @@ def candidates_json(candidates) -> str:
     return json.dumps([c.to_dict() for c in candidates])
 
 
-def probe(
-    spectrum: Spectrum,
-    t0: float,
-    sigma: float,
-    k_list,
-    known_lengths=None,
-) -> SingularityProbe:
+def order_frequencies(spectrum: Spectrum) -> np.ndarray:
+    """The k-grid of an order estimate: 30 geometric steps over [0.15, 0.6] sqrt(lambda_N)."""
+    k_max = math.sqrt(spectrum.eigenvalues[-1])
+    return np.geomspace(0.15 * k_max, 0.6 * k_max, 30)
+
+
+def probe(spectrum: Spectrum, t0: float, sigma: float, k_list) -> SingularityProbe:
     """Windowed wave-trace profile I(k) at candidate time t0 (closed form)."""
     if sigma <= 0 or t0 <= 0:
         raise DomainError("sigma and t0 must be positive")
     ks = np.atleast_1d(np.asarray(k_list, dtype=float))
-    if known_lengths is not None:
-        near = [
-            length
-            for length in known_lengths
-            if 0 < abs(length - t0) <= 3 * sigma
-        ]
-        if near:
-            warnings.warn(
-                f"lengths {near} lie within 3 sigma of t0={t0}",
-                WindowOverlapWarning,
-                stacklevel=2,
-            )
     mu = np.sqrt(spectrum.eigenvalues)
     diff = mu[None, :] - ks[:, None]
     vals = (
@@ -125,14 +113,11 @@ def scan_peaks(
     spectrum: Spectrum,
     t_range: tuple[float, float],
     sigma: float,
-    threshold: float = 5.0,
-    known_lengths=None,
+    threshold: float = PEAK_THRESHOLD,
 ) -> list[SingularityCandidate]:
-    """Local maxima of |I(k_ref)| over a t-grid, above threshold x median.
+    """Local maxima of |I(k_ref)| over a t-grid, above threshold x background.
 
-    k_ref is half of sqrt(lambda_N) and the grid step is sigma/4. When known
-    orbit lengths are supplied each candidate is matched within 2 sigma;
-    unmatched peaks keep matched_orbit=None and deserve investigation.
+    k_ref is half of sqrt(lambda_N) and the grid step is sigma/4.
     """
     t_lo, t_hi = t_range
     if not (0 < t_lo < t_hi):
@@ -151,43 +136,27 @@ def scan_peaks(
             denom = amp[i - 1] - 2 * amp[i] + amp[i + 1]
             shift = 0.5 * (amp[i - 1] - amp[i + 1]) / denom if denom < 0 else 0.0
             t_peak = ts[i] + np.clip(shift, -1, 1) * step
-            cand = SingularityCandidate(t0=float(t_peak), amplitude=float(amp[i]))
-            if known_lengths is not None:
-                best = min(known_lengths, key=lambda length: abs(length - t_peak))
-                if abs(best - t_peak) <= 2 * sigma:
-                    cand.matched_orbit = f"{best:.12g}"
-            out.append(cand)
+            out.append(SingularityCandidate(t0=float(t_peak), amplitude=float(amp[i])))
     return out
 
 
-def estimate_order(
-    spectrum: Spectrum,
-    t0: float,
-    sigma: float,
-    k_window: tuple[float, float] | None = None,
-) -> tuple[float, float]:
+def estimate_order(spectrum: Spectrum, t0: float, sigma: float) -> tuple[float, float]:
     """Singularity order at t0: log-log slope of |I(k)| with its 2-SE interval.
 
-    Raises NoiseFloor when the profile never rises above ten times the
-    off-peak background, measured as the lower-half median of |I(k_mid)|
-    over the surrounding stretch t0 * [0.5, 1.5].
+    |I(k)| is sampled on `order_frequencies`. Raises NoiseFloor when the
+    profile never rises above ten times the off-peak background, measured as
+    the lower-half median of |I(k_mid)| over the surrounding stretch
+    t0 * [0.5, 1.5].
     """
-    k_max = math.sqrt(spectrum.eigenvalues[-1])
-    if k_window is None:
-        k_window = (0.15 * k_max, 0.6 * k_max)
-    lo, hi = k_window
-    if not (0 < lo < hi):
-        raise DomainError("invalid k_window")
-    if lo < 0.1 * k_max - 1e-12 or hi > 0.8 * k_max + 1e-12:
-        raise DomainError("k_window must stay within [0.1, 0.8] of sqrt(lambda_N)")
-    ks = np.geomspace(lo, hi, 30)
+    ks = order_frequencies(spectrum)
+    lo, hi = float(ks[0]), float(ks[-1])
     amp = np.abs(probe(spectrum, t0, sigma, ks).values)
     k_mid = math.sqrt(lo * hi)
     t_bg = np.linspace(0.5 * t0, 1.5 * t0, 81)
     off = _background(_abs_i_on_grid(spectrum, t_bg, sigma, k_mid))
     if np.all(amp < 10 * off):
         raise NoiseFloor(
-            f"|I| below 10x the off-peak background throughout {k_window}"
+            f"|I| below 10x the off-peak background throughout {(lo, hi)}"
         )
     mask = amp > 0
     x = np.log(ks[mask])

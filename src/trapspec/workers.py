@@ -9,7 +9,10 @@ so a script without an `if __name__ == "__main__"` guard still runs its top
 level once. A worker reads pickled `(function, args)` calls on stdin and
 writes one pickled `(ok, value)` reply per call on stdout. Every BLAS
 thread-count variable is 1 in its environment, whatever the caller's says:
-one worker per core already fills the machine.
+one worker per core already fills the machine. The package root imports its
+modules on first use, so a fresh worker loads only what unpickling a call
+needs: numpy and `billiards`, `planar` and `geometry` for a billiard start
+walk, scipy and the eigensolver for a spectrum slice.
 
 `executor(tasks)` is the seam callers go through. It returns `in_process`
 when at most one worker would run (one core in the affinity mask, one task,

@@ -142,6 +142,16 @@ class TestLevelLadder:
         s = compute_spectrum(UNIT_SQUARE, DIRICHLET, n=10, mesh_size=1 / 16, refine_levels=3)
         assert np.array_equal(s.eigenvalues, np.sort(fine + (fine - coarse) / 3.0))
 
+    def test_accuracy_pairs_with_its_mode(self):
+        # index-paired extrapolation leaves adjacent modes out of order here
+        coarse, fine = level_eigenvalues(UNIT_SQUARE, DIRICHLET, 200, 1 / 32, 2)
+        extrap = fine + (fine - coarse) / 3.0
+        assert np.any(np.diff(extrap) < 0)
+        s = compute_spectrum(UNIT_SQUARE, DIRICHLET, n=200, mesh_size=1 / 32, refine_levels=2)
+        for lam, acc in zip(s.eigenvalues, s.accuracy):
+            i = int(np.flatnonzero(extrap == lam)[0])
+            assert acc == abs(extrap[i] - fine[i]) / fine[i]
+
 
 @pytest.fixture(
     params=[
@@ -378,3 +388,10 @@ class TestSpectrumIO:
     def test_sorted_enforced(self):
         with pytest.raises(DomainError):
             Spectrum(eigenvalues=np.array([3.0, 1.0]), boundary_condition=DIRICHLET)
+
+    def test_resort_keeps_accuracy_with_eigenvalue(self):
+        s = Spectrum(np.array([1.0, 2.0, 2.0 - 1e-12]), DIRICHLET, accuracy=np.array([0.1, 0.2, 0.3]))
+        assert np.array_equal(s.eigenvalues, [1.0, 2.0 - 1e-12, 2.0])
+        assert np.array_equal(s.accuracy, [0.1, 0.3, 0.2])
+        with pytest.raises(DomainError):
+            Spectrum(np.array([1.0, 2.0]), DIRICHLET, accuracy=np.array([0.1, 0.2, 0.3]))

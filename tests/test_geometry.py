@@ -95,7 +95,9 @@ class TestAngleInvariant:
     )
     @settings(max_examples=200, deadline=None)
     def test_corner_f_decreasing(self, x, y):
-        if x < y:
+        # rounding can reverse F between nearby doubles; 1e-6 apart, F falls
+        # by at least 4e-13 relative, even where F' = 0 at pi/2
+        if y - x >= 1e-6:
             assert corner_f(x) > corner_f(y)
 
 

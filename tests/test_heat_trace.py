@@ -74,11 +74,6 @@ class TestFitInvariants:
         b = fit_invariants(square_d)
         assert a.to_json() == b.to_json()
 
-    def test_corner_term_reduces_residual(self, square_d):
-        full = fit_invariants(square_d)
-        two_term = fit_invariants(square_d, include_corner=False)
-        assert full.fit_residual < two_term.fit_residual
-
     def test_window_auto_shrinks(self, square_d):
         inv = fit_invariants(square_d, t_window=(1e-6, 5e-3))
         t_min = inv.t_window[0]

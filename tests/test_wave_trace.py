@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trapspec.eigensolver import DIRICHLET, Spectrum, exact_rectangle_spectrum
-from trapspec.errors import DomainError, NoiseFloor, WindowOverlapWarning
+from trapspec.errors import DomainError, NoiseFloor
 from trapspec.wave_trace import (
     SingularityCandidate,
     candidates_json,
@@ -56,10 +56,6 @@ class TestProbe:
         b = probe(square5000, 2.0, SIGMA, ks).values
         assert np.array_equal(a, b)
 
-    def test_overlap_warning(self, square5000):
-        with pytest.warns(WindowOverlapWarning):
-            probe(square5000, 2.7, SIGMA, [40.0], known_lengths=[2.0, 2 * math.sqrt(2)])
-
     def test_csv_export(self, square5000):
         text = probe(square5000, 2.0, SIGMA, [40.0, 50.0]).to_csv()
         assert text.startswith("# t0=")
@@ -73,11 +69,6 @@ class TestScanPeaks:
         assert len(t0s) == 2
         assert abs(t0s[0] - 2.0) < 0.05
         assert abs(t0s[1] - 2 * math.sqrt(2)) < 0.05
-
-    def test_poisson_matching(self, square5000):
-        lengths = [2 * math.hypot(p, q) for p in range(4) for q in range(4) if p + q]
-        cands = scan_peaks(square5000, (1.5, 3.5), SIGMA, known_lengths=lengths)
-        assert all(c.matched_orbit is not None for c in cands)
 
     def test_empty_spectrum(self):
         s = Spectrum(eigenvalues=np.array([]), boundary_condition=DIRICHLET)
@@ -108,11 +99,6 @@ class TestEstimateOrder:
             except NoiseFloor:
                 continue
             assert a_on - a_off >= 0.4
-
-    def test_k_window_guard(self, square5000):
-        k_max = math.sqrt(square5000.eigenvalues[-1])
-        with pytest.raises(DomainError):
-            estimate_order(square5000, 2.0, SIGMA, k_window=(0.01 * k_max, 0.5 * k_max))
 
 
 class TestClassification:
