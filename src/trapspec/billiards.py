@@ -93,10 +93,6 @@ class PoincareData:
     matrix: np.ndarray  # 2x2 Jacobian of the first-return map in (x, cos theta)
     det_i_minus_p: float
 
-    @property
-    def det_p(self) -> float:
-        return float(np.linalg.det(self.matrix))
-
 
 @dataclass
 class LengthSpectrum:
@@ -504,26 +500,20 @@ def _budgeted(search: _Search) -> list:
 
 
 def enumerate_orbits(
-    polygon: Polygon,
-    lmax: float,
-    period_max: int = DEFAULT_PERIOD_MAX,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    polygon: Polygon, lmax: float, period_max: int = DEFAULT_PERIOD_MAX
 ) -> list[ClosedGeodesic]:
     """All non-conical closed geodesics of length <= lmax, up to period_max.
 
     Bands are reported once per cyclic word class with their corridor width
     and swept area; m-fold traversals appear with multiplicity m.
-    node_budget caps the nodes of the necklace-pruned word tree, in which
-    each closed word appears once, not once per rotation.
+    DEFAULT_NODE_BUDGET caps the nodes of the necklace-pruned word tree, in
+    which each closed word appears once, not once per rotation.
     """
-    return _budgeted(_Search(polygon, lmax, period_max, node_budget, "edge"))
+    return _budgeted(_Search(polygon, lmax, period_max, DEFAULT_NODE_BUDGET, "edge"))
 
 
 def find_generalized_diagonals(
-    polygon: Polygon,
-    lmax: float,
-    period_max: int = DIAGONAL_PERIOD_MAX,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    polygon: Polygon, lmax: float, period_max: int = DIAGONAL_PERIOD_MAX
 ) -> list[ConicalChain]:
     """Vertex-to-vertex straight chains in the unfolding, plus edge orbits.
 
@@ -531,7 +521,7 @@ def find_generalized_diagonals(
     its endpoint angles are at least pi/2; chains that return to their start
     vertex are closed conical geodesics (e.g. the doubled altitude orbits).
     """
-    return _budgeted(_Search(polygon, lmax, period_max, node_budget, "vertex"))
+    return _budgeted(_Search(polygon, lmax, period_max, DEFAULT_NODE_BUDGET, "vertex"))
 
 
 # ---- Poincare map -----------------------------------------------------------
@@ -636,10 +626,6 @@ def shortest_orbit(trapezoid: Trapezoid) -> tuple[float, str]:
 
 
 # ---- export ------------------------------------------------------------------
-
-
-def orbits_json_lines(orbits) -> str:
-    return "\n".join(json.dumps(o.to_dict()) for o in orbits) + ("\n" if orbits else "")
 
 
 def render_svg(polygon: Polygon, orbits) -> str:

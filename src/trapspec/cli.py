@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,13 +38,24 @@ from .wave_trace import (
 )
 
 
+def _numbers(d: dict, *keys: str) -> list:
+    """The named fields of a domain, each a finite number, else ValueError."""
+    values = [d[k] for k in keys]
+    for k, v in zip(keys, values):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ValueError(f"domain field {k!r} is not a finite number: {v!r}")
+    return values
+
+
 def _load_domain(path: str):
     """Domain JSON: trapezoid {B,h,alpha,beta}, rectangle {a,c}, or {vertices}."""
     d = json.loads(Path(path).read_text())
     if {"B", "h", "alpha", "beta"} <= set(d):
-        return new_trapezoid(B=d["B"], h=d["h"], alpha=d["alpha"], beta=d["beta"])
+        B, h, alpha, beta = _numbers(d, "B", "h", "alpha", "beta")
+        return new_trapezoid(B=B, h=h, alpha=alpha, beta=beta)
     if {"a", "c"} <= set(d):
-        return ("rectangle", float(d["a"]), float(d["c"]))
+        a, c = _numbers(d, "a", "c")
+        return ("rectangle", float(a), float(c))
     if "vertices" in d:
         return Polygon(np.array(d["vertices"], dtype=float))
     raise ValueError(f"unrecognized domain JSON in {path}")
@@ -107,14 +119,11 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    domain = _load_domain(args.domain)
-    if isinstance(domain, tuple):
-        domain = _domain_polygon(domain)
-    spec = billiards.length_spectrum(domain, args.lmax, period_max=args.period_max)
+    poly = _domain_polygon(_load_domain(args.domain))
+    spec = billiards.length_spectrum(poly, args.lmax, period_max=args.period_max)
     lines = [f"# config={json.dumps(_config_of(args))}", spec.to_json_lines().rstrip()]
     _write("\n".join(lines) + "\n", args.out)
     if args.svg is not None:
-        poly = _domain_polygon(domain) if not isinstance(domain, Polygon) else domain
         orbits = [o for _, group in spec.entries for o in group]
         Path(args.svg).write_text(billiards.render_svg(poly, orbits))
     return 0

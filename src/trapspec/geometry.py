@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -19,8 +18,6 @@ from .errors import DomainError
 # Minimum of the angle invariant q over non-obtuse trapezoids, attained
 # exactly by rectangles.
 Q_RECTANGLE = 8.0 / math.pi**2
-
-RECTANGLE_Q_TOL = 1e-9
 
 
 def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -55,6 +52,8 @@ class Polygon:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise DomainError("polygon needs an (n, 2) vertex array, n >= 3")
+        if not np.isfinite(v).all():
+            raise DomainError("polygon vertices must be finite")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
@@ -95,9 +94,6 @@ class Polygon:
     def diameter(self) -> float:
         v = self.vertices
         return float(np.max(np.hypot(*(v[:, None, :] - v[None, :, :]).transpose(2, 0, 1))))
-
-    def transformed(self, rot: np.ndarray, shift: np.ndarray) -> "Polygon":
-        return Polygon(self.vertices @ np.asarray(rot).T + np.asarray(shift))
 
 
 def heat_corner_sum(polygon: Polygon) -> float:
@@ -142,14 +138,6 @@ class Trapezoid:
         object.__setattr__(
             self, "perimeter", B + b + h * (1 / math.sin(alpha) + 1 / math.sin(beta))
         )
-
-    @property
-    def is_rectangle(self) -> bool:
-        return abs(angle_invariant(self).q - Q_RECTANGLE) < RECTANGLE_Q_TOL
-
-    @property
-    def is_isosceles(self) -> bool:
-        return abs(self.alpha - self.beta) < 1e-12
 
     def to_json(self) -> str:
         return json.dumps({"B": self.B, "h": self.h, "alpha": self.alpha, "beta": self.beta})
@@ -202,39 +190,15 @@ def angle_invariant(t: Trapezoid) -> AngleInvariant:
 
 
 @dataclass(frozen=True)
-class ExtendedTriangle:
-    """Triangle obtained by extending the trapezoid legs above the top side."""
-
-    apex_angle: float  # gamma = pi - alpha - beta
-    h_alpha: float  # altitude from the alpha vertex: B sin(beta)
-    h_beta: float  # altitude from the beta vertex: B sin(alpha)
-    acute: bool  # alpha + beta >= pi/2, i.e. gamma <= pi/2
-
-
-def extended_triangle(t: Trapezoid) -> ExtendedTriangle:
-    gamma = math.pi - t.alpha - t.beta
-    if gamma <= 1e-12:
-        raise DomainError("rectangle has no extended triangle (parallel legs)")
-    return ExtendedTriangle(
-        apex_angle=gamma,
-        h_alpha=t.B * math.sin(t.beta),
-        h_beta=t.B * math.sin(t.alpha),
-        acute=t.alpha + t.beta >= math.pi / 2 - 1e-15,
-    )
-
-
-@dataclass(frozen=True)
 class FagnanoOrbit:
     length: float  # 2 B sin(alpha) sin(beta)
     exists_inside: bool
-    diffractive: bool
     degenerate: bool  # alpha = pi/2: collapses into the 2 h_alpha orbit
 
 
 @dataclass(frozen=True)
 class HAlphaOrbit:
     length: float  # 2 B sin(beta)
-    classification: str  # "diffractive" | "non-diffractive" | "band-member"
     exists_inside: bool
 
 
@@ -243,63 +207,9 @@ class OrbitCatalog:
     """Closed-form catalog of the named short orbits of a trapezoid."""
 
     two_h: float
-    two_h_swept_area: float  # 2 h b
     two_b: float
-    fagnano: FagnanoOrbit | None
+    fagnano: FagnanoOrbit
     two_h_alpha: HAlphaOrbit
-    cmn_families: list[tuple[int, int]]
-
-    def two_mb(self, lmax: float) -> list[float]:
-        """Multiples 2mb of the top-edge orbit up to lmax."""
-        out = []
-        m = 1
-        while m * self.two_b <= lmax:
-            out.append(m * self.two_b)
-            m += 1
-        return out
-
-    def to_json(self, lmax: float | None = None) -> str:
-        d = {
-            "2h": self.two_h,
-            "2b": self.two_b,
-            "2hAlpha": {
-                "length": self.two_h_alpha.length,
-                "classification": self.two_h_alpha.classification,
-                "existsInside": self.two_h_alpha.exists_inside,
-            },
-            "Cmn": [list(mn) for mn in self.cmn_families],
-        }
-        if self.fagnano is not None:
-            d["lF"] = {
-                "length": self.fagnano.length,
-                "existsInside": self.fagnano.exists_inside,
-                "diffractive": self.fagnano.diffractive,
-                "degenerate": self.fagnano.degenerate,
-            }
-        if lmax is not None:
-            d["2mb"] = self.two_mb(lmax)
-        return json.dumps(d)
-
-
-# Continued-fraction bound for deciding whether alpha/beta is rational.
-CMN_DENOMINATOR_BOUND = 20
-CMN_RATIO_TOL = 1e-9
-
-
-def _rational_angle_ratio(alpha: float, beta: float) -> tuple[int, int] | None:
-    """Return coprime (m, n) with m*alpha ~= n*beta, or None.
-
-    Exact rationality is undecidable in floating point; we accept the best
-    continued-fraction approximant with denominator <= 20 at tolerance 1e-9.
-    """
-    ratio = alpha / beta  # = n/m >= 1
-    frac = Fraction(ratio).limit_denominator(CMN_DENOMINATOR_BOUND)
-    n, m = frac.numerator, frac.denominator
-    if n == 0:
-        return None
-    if abs(m * alpha - n * beta) <= CMN_RATIO_TOL * max(alpha, 1.0):
-        return (m, n)
-    return None
 
 
 def orbit_catalog(t: Trapezoid) -> OrbitCatalog:
@@ -311,43 +221,21 @@ def orbit_catalog(t: Trapezoid) -> OrbitCatalog:
     degenerate and coincides with the 2 h_alpha orbit (both 2 B sin beta).
     """
     B, h, alpha, beta = t.B, t.h, t.alpha, t.beta
-    l_f = 2 * B * math.sin(alpha) * math.sin(beta)
     h_threshold = B * math.sin(beta) * math.cos(beta)
     acute = alpha + beta >= math.pi / 2 - 1e-15
-    degenerate = abs(alpha - math.pi / 2) < 1e-12
-
-    fagnano = FagnanoOrbit(
-        length=l_f,
-        exists_inside=bool(acute and h >= h_threshold - 1e-15),
-        diffractive=bool(acute and abs(h - h_threshold) <= 1e-12 * max(B, h)),
-        degenerate=degenerate,
-    )
-
-    if t.is_isosceles:
-        classification = "band-member"
-    elif any(abs(alpha - math.pi / n) < 1e-12 for n in (2, 3, 4)):
-        classification = "non-diffractive"
-    else:
-        classification = "diffractive"
-    two_h_alpha = HAlphaOrbit(
-        length=2 * B * math.sin(beta),
-        classification=classification,
-        # altitude foot lands on the right leg iff B cos(beta) <= leg length
-        exists_inside=bool(h >= h_threshold - 1e-15),
-    )
-
-    cmn: list[tuple[int, int]] = []
-    mn = _rational_angle_ratio(alpha, beta)
-    if mn is not None and mn[0] * alpha <= math.pi / 2 + 1e-12:
-        cmn.append(mn)
-
     return OrbitCatalog(
         two_h=2 * h,
-        two_h_swept_area=2 * h * t.b,
         two_b=2 * t.b,
-        fagnano=fagnano,
-        two_h_alpha=two_h_alpha,
-        cmn_families=cmn,
+        fagnano=FagnanoOrbit(
+            length=2 * B * math.sin(alpha) * math.sin(beta),
+            exists_inside=bool(acute and h >= h_threshold - 1e-15),
+            degenerate=abs(alpha - math.pi / 2) < 1e-12,
+        ),
+        two_h_alpha=HAlphaOrbit(
+            length=2 * B * math.sin(beta),
+            # altitude foot lands on the right leg iff B cos(beta) <= leg length
+            exists_inside=bool(h >= h_threshold - 1e-15),
+        ),
     )
 
 

@@ -42,6 +42,7 @@ from .eigensolver import Spectrum
 from .geometry import (
     Q_RECTANGLE,
     Trapezoid,
+    angle_invariant,
     corner_f,
     corner_f_inverse,
     new_trapezoid,
@@ -78,9 +79,6 @@ class Rectangle:
     @property
     def perimeter(self) -> float:
         return 2 * (self.a + self.c)
-
-    def to_json(self) -> str:
-        return json.dumps({"a": self.a, "c": self.c})
 
 
 def reconstruct_rectangle(lambda1: float, area: float, slack: float = 1e-9) -> Rectangle:
@@ -514,11 +512,10 @@ class ReconstructionReport:
 
 
 def _invariant_residuals(trap: Trapezoid, A: float, L: float, q: float) -> dict:
-    q_got = corner_f(trap.alpha) + corner_f(trap.beta)
     return {
         "areaRel": abs(trap.area - A) / A,
         "perimeterRel": abs(trap.perimeter - L) / L,
-        "qRel": abs(q_got - q) / q,
+        "qRel": abs(angle_invariant(trap).q - q) / q,
     }
 
 
@@ -772,11 +769,7 @@ def check_isospectral_consistency(t1: Trapezoid, t2: Trapezoid) -> ConsistencyRe
     items = [
         ("area", t1.area, t2.area),
         ("perimeter", t1.perimeter, t2.perimeter),
-        (
-            "q",
-            corner_f(t1.alpha) + corner_f(t1.beta),
-            corner_f(t2.alpha) + corner_f(t2.beta),
-        ),
+        ("q", angle_invariant(t1).q, angle_invariant(t2).q),
         ("shortestOrbit", min(cat1.two_h, cat1.two_b), min(cat2.two_h, cat2.two_b)),
         ("2h", cat1.two_h, cat2.two_h),
         ("2hAlpha", cat1.two_h_alpha.length, cat2.two_h_alpha.length),

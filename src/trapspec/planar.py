@@ -49,14 +49,6 @@ class Isometry:
         """self after other: (self.compose(other))(p) = self(other(p))."""
         return Isometry(self.a @ other.a, self.a @ other.t + self.t)
 
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.a))
-
-    @property
-    def parity(self) -> int:
-        return 1 if self.det > 0 else -1
-
 
 def _hull_pts(points):
     """Monotone-chain hull over (x, y) tuples; collinear points are dropped."""

@@ -13,7 +13,7 @@ import numpy as np
 from .billiards import enumerate_orbits, length_spectrum, shortest_orbit
 from .geometry import (
     Q_RECTANGLE,
-    corner_f,
+    angle_invariant,
     heat_corner_sum,
     new_trapezoid,
     orbit_catalog,
@@ -21,10 +21,6 @@ from .geometry import (
     vertices,
 )
 from .inverse import check_isospectral_consistency, solve_from_h
-
-
-def _q(t) -> float:
-    return corner_f(t.alpha) + corner_f(t.beta)
 
 
 def angle_invariant_suite(n: int = 1000, seed: int = 0) -> list[str]:
@@ -35,7 +31,7 @@ def angle_invariant_suite(n: int = 1000, seed: int = 0) -> list[str]:
     failures = []
     for i in range(n):
         t = random_trapezoid(rng)
-        q = _q(t)
+        q = angle_invariant(t).q
         if q < Q_RECTANGLE - 1e-12:
             failures.append(f"[{i}] q = {q} below the rectangle minimum")
         if abs(t.alpha - math.pi / 2) > 1e-9 or abs(t.beta - math.pi / 2) > 1e-9:
@@ -123,11 +119,12 @@ def round_trip_suite(n: int = 100, seed: int = 3) -> list[str]:
     done = 0
     while done < n:
         t = random_trapezoid(rng)
-        if _q(t) < Q_RECTANGLE + 1e-2:
+        q = angle_invariant(t).q
+        if q < Q_RECTANGLE + 1e-2:
             continue  # rectangle-degenerate regime is routed elsewhere
         done += 1
         try:
-            r = solve_from_h(t.area, t.perimeter, _q(t), t.h)
+            r = solve_from_h(t.area, t.perimeter, q, t.h)
         except Exception as exc:
             failures.append(f"[{done}] solver failed: {exc}")
             continue

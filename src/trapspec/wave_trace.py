@@ -14,7 +14,6 @@ for diffractive lengths.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -62,10 +61,6 @@ class SingularityCandidate:
             "clamped": False,  # kept for format stability; orders are never clamped
             "matchedOrbit": self.matched_orbit,
         }
-
-
-def candidates_json(candidates) -> str:
-    return json.dumps([c.to_dict() for c in candidates])
 
 
 def order_frequencies(spectrum: Spectrum) -> np.ndarray:
@@ -122,6 +117,8 @@ def scan_peaks(
     t_lo, t_hi = t_range
     if not (0 < t_lo < t_hi):
         raise DomainError("t_range must be positive and increasing")
+    if not 0 < sigma < math.inf:
+        raise DomainError("sigma must be positive and finite")
     if spectrum.count == 0:
         return []
     k_ref = 0.5 * math.sqrt(spectrum.eigenvalues[-1])

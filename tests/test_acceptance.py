@@ -232,7 +232,7 @@ def test_criterion_6_inverse(flagship_trapezoid, flagship_spectrum):
         if err > 1e-8:
             failures.append(f"solve_from_h round trip error {err} on {t}")
         cat = orbit_catalog(t)
-        if cat.fagnano is not None and cat.fagnano.exists_inside and not cat.fagnano.degenerate:
+        if cat.fagnano.exists_inside and not cat.fagnano.degenerate:
             r = solve_from_lf_halpha(
                 t.perimeter, _q(t), cat.fagnano.length, t.B * math.sin(t.beta), area=t.area
             )
@@ -250,7 +250,7 @@ def test_criterion_6_inverse(flagship_trapezoid, flagship_spectrum):
         except Exception:
             continue
         cat = orbit_catalog(t)
-        if cat.fagnano is None or not cat.fagnano.exists_inside:
+        if not cat.fagnano.exists_inside:
             continue
         tried += 1
         try:

@@ -14,10 +14,8 @@ from trapspec.billiards import (
     enumerate_orbits,
     find_generalized_diagonals,
     length_spectrum,
-    orbits_json_lines,
     poincare_map,
     render_svg,
-    shortest_orbit,
 )
 from trapspec.errors import BudgetExceeded, DomainError
 from trapspec.geometry import (
@@ -28,6 +26,7 @@ from trapspec.geometry import (
     vertices,
 )
 from trapspec.planar import Isometry
+from trapspec.properties import run_suite
 
 SQUARE = Polygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
 
@@ -56,8 +55,8 @@ class TestComposeWord:
         assert np.allclose(m.t, [0, 2], atol=1e-14)
 
     def test_odd_parity(self):
-        assert compose_word(SQUARE, [0, 1, 2]).parity == -1
-        assert compose_word(SQUARE, [0, 1]).parity == 1
+        assert np.linalg.det(compose_word(SQUARE, [0, 1, 2]).a) == pytest.approx(-1.0)
+        assert np.linalg.det(compose_word(SQUARE, [0, 1]).a) == pytest.approx(1.0)
 
     def test_repeated_edge_rejected(self):
         with pytest.raises(DomainError):
@@ -110,14 +109,14 @@ class TestFagnano:
         fag = next(o for o in orbs if o.kind == "isolated" and abs(o.length - 3) < 1e-9)
         pd = poincare_map(poly, fag)
         assert pd.det_i_minus_p == pytest.approx(4.0, abs=1e-4)
-        assert pd.det_p == pytest.approx(1.0, abs=1e-6)
+        assert np.linalg.det(pd.matrix) == pytest.approx(1.0, abs=1e-6)
 
     def test_band_det_zero(self, fagnano_setup):
         t, poly, orbs = fagnano_setup
         band = next(o for o in orbs if abs(o.length - 2 * t.h) < 1e-9)
         pd = poincare_map(poly, band)
         assert abs(pd.det_i_minus_p) < 1e-6
-        assert pd.det_p == pytest.approx(1.0, abs=1e-6)
+        assert np.linalg.det(pd.matrix) == pytest.approx(1.0, abs=1e-6)
 
     def test_doubled_word_determinant_identity(self, fagnano_setup):
         _, poly, orbs = fagnano_setup
@@ -158,7 +157,7 @@ class TestFagnano:
             poly = vertices(t)
             for o in enumerate_orbits(poly, 2.2 * min(t.h, t.b) + 0.8, period_max=10):
                 pd = poincare_map(poly, o)
-                assert pd.det_p == pytest.approx(1.0, abs=1e-8)
+                assert np.linalg.det(pd.matrix) == pytest.approx(1.0, abs=1e-8)
                 expected = 4.0 if len(o.word) % 2 else 0.0
                 assert pd.det_i_minus_p == pytest.approx(expected, abs=1e-8), o.word
                 count += 1
@@ -348,34 +347,10 @@ class TestNecklaceWalk:
 
 class TestTrapezoidPropositions:
     def test_shortest_is_2h_or_2b(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            t = random_trapezoid(rng)
-            length, label = shortest_orbit(t)
-            assert length == pytest.approx(min(2 * t.h, 2 * t.b), rel=1e-9)
-            assert label in ("2h", "2b")
+        assert run_suite("shortest-orbit") == []
 
     def test_catalog_agreement(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            t = random_trapezoid(rng)
-            cat = orbit_catalog(t)
-            lmax = 2.2 * min(t.h, t.b) + 0.5
-            spec = length_spectrum(t, lmax, period_max=10)
-            lengths = spec.lengths
-            targets = [x for x in (2 * t.h, 2 * t.b) if x <= lmax]
-            if (
-                cat.fagnano.exists_inside
-                and not cat.fagnano.degenerate
-                and cat.fagnano.length <= lmax
-            ):
-                targets.append(cat.fagnano.length)
-            if cat.two_h_alpha.exists_inside and cat.two_h_alpha.length <= lmax:
-                targets.append(cat.two_h_alpha.length)
-            for x in targets:
-                assert np.any(np.abs(lengths - x) <= 1e-9 * max(x, 1.0)), (
-                    f"length {x} missing for {t}"
-                )
+        assert run_suite("catalog") == []
 
     def test_non_boundary_conical_not_shorter_than_heights(self):
         rng = np.random.default_rng(13)
@@ -411,7 +386,7 @@ class TestTrapezoidPropositions:
 
 
 class TestPlumbing:
-    def test_budget_exceeded_carries_partial(self, square_orbits):
+    def test_budget_exceeded_carries_partial(self, square_orbits, monkeypatch):
         # both searches finish unwinding, sort what they found like a full
         # result and find nothing that the unbudgeted search does not
         for search, order, full in (
@@ -424,8 +399,9 @@ class TestPlumbing:
         ):
             full_records = {json.dumps(o.to_dict()) for o in full}
             for budget in (50, 3000):
+                monkeypatch.setattr(billiards, "DEFAULT_NODE_BUDGET", budget)
                 with pytest.raises(BudgetExceeded) as exc:
-                    search(SQUARE, 10.0, node_budget=budget)
+                    search(SQUARE, 10.0)
                 partial = exc.value.partial
                 assert isinstance(partial, list)
                 assert [order(o) for o in partial] == sorted(order(o) for o in partial)
@@ -455,8 +431,9 @@ class TestPlumbing:
             return [o.to_dict() for o in records], walker.nodes <= budget
 
         def searched(budget):
+            monkeypatch.setattr(billiards, "DEFAULT_NODE_BUDGET", budget)
             try:
-                records, complete = search(SQUARE, 10.0, node_budget=budget), True
+                records, complete = search(SQUARE, 10.0), True
             except BudgetExceeded as exc:
                 records, complete = exc.partial, False
             return [o.to_dict() for o in records], complete
@@ -503,11 +480,12 @@ class TestPlumbing:
         expected = sorted([orbit] + closed, key=lambda o: o.length)
         assert [o.to_dict() for o in exc.value.partial] == [o.to_dict() for o in expected]
 
-    def test_json_lines(self, square_orbits):
-        lines = orbits_json_lines(square_orbits).strip().splitlines()
-        assert len(lines) == len(square_orbits)
+    def test_json_lines(self):
+        spec = length_spectrum(SQUARE, 3.0)
+        lines = spec.to_json_lines().strip().splitlines()
+        assert len(lines) == len(spec.entries)
         d = json.loads(lines[0])
-        assert {"word", "length", "kind", "multiplicity"} <= set(d)
+        assert {"word", "length", "kind", "multiplicity"} <= set(d["orbits"][0])
 
     def test_svg_smoke(self, square_orbits):
         svg = render_svg(SQUARE, square_orbits[:3])

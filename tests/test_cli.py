@@ -2,10 +2,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trapspec.cli import main
-from trapspec.eigensolver import Spectrum, exact_rectangle_spectrum
+from trapspec.eigensolver import DIRICHLET, Spectrum, exact_rectangle_spectrum
 
 
 @pytest.fixture()
@@ -134,31 +135,72 @@ class TestMalformedInput:
             (tmp_path / f"{name}.csv").write_text(body)
         return {name: str(tmp_path / f"{name}.csv") for name in files}
 
+    @pytest.fixture()
+    def domain_files(self, tmp_path):
+        # NaN is a JSON extension that Python's json module reads
+        files = {
+            "nan_side": '{"a": NaN, "c": 1}',
+            "null_side": '{"a": 1, "c": null}',
+            "null_angle": '{"B": 2, "h": 1, "alpha": null, "beta": 1}',
+            "null_vertex": '{"vertices": [[0, 0], [1, 0], [0, null]]}',
+        }
+        for name, body in files.items():
+            (tmp_path / f"{name}.json").write_text(body)
+        return {name: str(tmp_path / f"{name}.json") for name in files}
+
+    @pytest.fixture()
+    def trapezoid_spectrum_csv(self, tmp_path):
+        # a stored FEM spectrum whose fitted q takes the trapezoid branch
+        data = Path(__file__).parents[1] / "perfbench" / "data" / "band_2h_flagship.json"
+        d = json.loads(data.read_text())
+        spec = Spectrum(np.array(d["eigenvalues"]), DIRICHLET, accuracy=np.array(d["accuracy"]))
+        p = tmp_path / "band_2h_flagship.csv"
+        p.write_text(spec.to_csv())
+        return str(p)
+
     @pytest.mark.parametrize(
-        "argv",
+        "argv,error",
         [
-            ["spectrum", "{square}", "--bc", "N", "--n", "0", "--mesh-size", "0.0625",
-             "--refine-levels", "2"],
-            ["spectrum", "{square}", "--bc", "D", "--n", "-3", "--mesh-size", "0.0625",
-             "--refine-levels", "2"],
-            ["invariants", "{bad_tag}"],
-            ["invariants", "{header_only}"],
-            ["invariants", "{no_domain}"],
-            ["wavetrace", "{header_only}", "--t-lo", "1.5", "--t-hi", "2.5",
-             "--probe-t0", "2.0", "--probe-out", "{probe}"],
+            (["spectrum", "{square}", "--bc", "N", "--n", "0", "--mesh-size", "0.0625",
+              "--refine-levels", "2"], "DomainError"),
+            (["spectrum", "{square}", "--bc", "D", "--n", "-3", "--mesh-size", "0.0625",
+              "--refine-levels", "2"], "DomainError"),
+            (["invariants", "{bad_tag}"], "DomainError"),
+            (["invariants", "{header_only}"], "DomainError"),
+            (["invariants", "{no_domain}"], "DomainError"),
+            (["wavetrace", "{header_only}", "--t-lo", "1.5", "--t-hi", "2.5",
+              "--probe-t0", "2.0", "--probe-out", "{probe}"], "DomainError"),
+            (["wavetrace", "{square_csv}", "--t-lo", "1.5", "--t-hi", "4.5", "--sigma", "0"],
+             "DomainError"),
+            (["wavetrace", "{square_csv}", "--t-lo", "1.5", "--t-hi", "4.5", "--sigma", "-0.1"],
+             "DomainError"),
+            (["wavetrace", "{square_csv}", "--t-lo", "1.5", "--t-hi", "4.5", "--sigma", "nan"],
+             "DomainError"),
+            (["reconstruct", "{trapezoid_csv}", "--sigma", "0"], "DomainError"),
+            (["spectrum", "{nan_side}", "--exact", "--n", "10"], "ValueError"),
+            (["spectrum", "{null_side}", "--exact", "--n", "10"], "ValueError"),
+            (["orbits", "{null_angle}", "--lmax", "3"], "ValueError"),
+            (["orbits", "{null_vertex}", "--lmax", "3"], "DomainError"),
         ],
         ids=["spectrum-N-n0", "spectrum-D-negative-n", "invariants-unknown-bc-tag",
-             "invariants-header-only", "invariants-no-domain-field", "wavetrace-header-only"],
+             "invariants-header-only", "invariants-no-domain-field", "wavetrace-header-only",
+             "wavetrace-sigma-0", "wavetrace-sigma-negative", "wavetrace-sigma-nan",
+             "reconstruct-sigma-0", "spectrum-nan-side", "spectrum-null-side",
+             "orbits-null-angle", "orbits-null-vertex"],
     )
     def test_exits_1_with_json_error(
-        self, argv, square_json, spectrum_files, tmp_path, capsys
+        self, argv, error, square_json, square_spectrum_csv, spectrum_files, domain_files,
+        trapezoid_spectrum_csv, tmp_path, capsys,
     ):
-        paths = dict(spectrum_files, square=square_json, probe=str(tmp_path / "p.csv"))
+        paths = dict(
+            spectrum_files, **domain_files, square=square_json, square_csv=square_spectrum_csv,
+            trapezoid_csv=trapezoid_spectrum_csv, probe=str(tmp_path / "p.csv"),
+        )
         out = tmp_path / "out"
         rc = main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "DomainError"
+        assert err["error"] == error
         assert not out.exists()
 
 

@@ -113,7 +113,7 @@ class TestFemOracles:
     def test_congruence_invariance(self):
         th = 0.7
         rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        moved = UNIT_SQUARE.transformed(rot, np.array([3.0, -1.5]))
+        moved = Polygon(UNIT_SQUARE.vertices @ rot.T + np.array([3.0, -1.5]))
         a = compute_spectrum(UNIT_SQUARE, DIRICHLET, n=10, mesh_size=1 / 16, refine_levels=2)
         b = compute_spectrum(moved, DIRICHLET, n=10, mesh_size=1 / 16, refine_levels=2)
         tol = (np.max(a.accuracy) + np.max(b.accuracy) + 1e-3) * a.eigenvalues

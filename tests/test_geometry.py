@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from trapspec.geometry import (
     angle_invariant,
     corner_f,
     corner_f_inverse,
-    extended_triangle,
     heat_corner_sum,
     new_trapezoid,
     orbit_catalog,
@@ -36,7 +34,6 @@ class TestNewTrapezoid:
     def test_rectangle(self):
         t = new_trapezoid(B=1, h=1, alpha=math.pi / 2, beta=math.pi / 2)
         assert t.b == pytest.approx(1.0)
-        assert t.is_rectangle
         assert t.area == pytest.approx(1.0)
         assert t.perimeter == pytest.approx(4.0)
 
@@ -129,25 +126,6 @@ class TestCornerSum:
         )
 
 
-class TestExtendedTriangle:
-    def test_apex_angle(self):
-        t = new_trapezoid(B=2, h=0.5, alpha=math.pi / 3, beta=math.pi / 3)
-        et = extended_triangle(t)
-        assert et.apex_angle == pytest.approx(math.pi / 3, abs=1e-14)
-        assert et.acute
-
-    def test_altitudes(self):
-        t = new_trapezoid(B=2, h=0.5, alpha=1.2, beta=0.8)
-        et = extended_triangle(t)
-        assert et.h_alpha == pytest.approx(2 * math.sin(0.8))
-        assert et.h_beta == pytest.approx(2 * math.sin(1.2))
-
-    def test_rectangle_has_none(self):
-        t = new_trapezoid(B=1, h=1, alpha=math.pi / 2, beta=math.pi / 2)
-        with pytest.raises(DomainError):
-            extended_triangle(t)
-
-
 class TestOrbitCatalog:
     def test_equilateral_example(self):
         t = new_trapezoid(B=2, h=1.2, alpha=math.pi / 3, beta=math.pi / 3)
@@ -155,9 +133,7 @@ class TestOrbitCatalog:
         assert cat.fagnano.length == pytest.approx(3.0, rel=1e-14)
         assert cat.fagnano.exists_inside  # 1.2 >= sqrt(3)/2
         assert cat.two_h_alpha.length == pytest.approx(2 * SQRT3, rel=1e-14)
-        assert (1, 1) in cat.cmn_families
         assert cat.two_h == pytest.approx(2.4)
-        assert cat.two_h_swept_area == pytest.approx(2 * 1.2 * t.b, rel=1e-14)
 
     def test_right_angle_degenerate_fagnano(self):
         t = new_trapezoid(B=2, h=1.0, alpha=math.pi / 2, beta=1.0)
@@ -200,20 +176,3 @@ class TestOrbitCatalog:
                 n_checked += 1
                 assert cat.two_h_alpha.length < 2 * cat.fagnano.length
         assert n_checked > 50
-
-    def test_cmn_rational_detection(self):
-        t = new_trapezoid(B=2, h=0.2, alpha=0.6, beta=0.4)  # alpha/beta = 3/2
-        cat = orbit_catalog(t)  # 2 * 0.6 = 3 * 0.4 = 1.2 <= pi/2
-        assert (2, 3) in cat.cmn_families
-
-    def test_cmn_requires_half_pi_bound(self):
-        # alpha/beta = 5/1 but 1*alpha <= pi/2 always holds; use m from ratio n/m
-        t = new_trapezoid(B=2, h=0.05, alpha=1.5, beta=0.3)
-        cat = orbit_catalog(t)
-        assert cat.cmn_families == [(1, 5)]
-
-    def test_catalog_json(self):
-        t = new_trapezoid(B=2, h=1.2, alpha=math.pi / 3, beta=math.pi / 3)
-        d = json.loads(orbit_catalog(t).to_json(lmax=4.0))
-        assert set(d) >= {"2h", "2b", "2hAlpha", "lF", "Cmn", "2mb"}
-        assert d["2mb"] == pytest.approx([2 * t.b, 4 * t.b, 6 * t.b])

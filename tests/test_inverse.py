@@ -161,7 +161,7 @@ class TestSolveFromHAndLf:
         while checked < 100:
             t = sample_trapezoid(rng)
             cat = orbit_catalog(t)
-            if cat.fagnano is None or cat.fagnano.degenerate:
+            if cat.fagnano.degenerate:
                 continue
             r = solve_from_h_and_lf(t.area, q_of(t), t.h, cat.fagnano.length, L=t.perimeter)
             for got, want in (

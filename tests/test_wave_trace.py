@@ -7,7 +7,6 @@ from trapspec.eigensolver import DIRICHLET, Spectrum, exact_rectangle_spectrum
 from trapspec.errors import DomainError, NoiseFloor
 from trapspec.wave_trace import (
     SingularityCandidate,
-    candidates_json,
     classify_candidate,
     estimate_order,
     probe,
@@ -78,6 +77,11 @@ class TestScanPeaks:
         with pytest.raises(DomainError):
             scan_peaks(square5000, (2.0, 1.0), SIGMA)
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.1, math.nan])
+    def test_bad_sigma(self, square5000, sigma):
+        with pytest.raises(DomainError):
+            scan_peaks(square5000, (1.5, 3.5), sigma)
+
 
 class TestEstimateOrder:
     def test_band_order_half(self, square5000):
@@ -113,8 +117,3 @@ class TestClassification:
     def test_requires_order(self):
         with pytest.raises(DomainError):
             classify_candidate(SingularityCandidate(t0=2.0, amplitude=1.0))
-
-    def test_candidates_json(self):
-        c = SingularityCandidate(t0=2.0, amplitude=1.0, estimated_order=0.5)
-        text = candidates_json([c])
-        assert '"t0": 2.0' in text
