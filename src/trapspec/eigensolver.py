@@ -1,16 +1,20 @@
 """Laplace eigenvalues of convex polygons: exact rectangles and P1 finite elements.
 
 The FEM path assembles stiffness/mass matrices on uniformly refined meshes,
-solves the generalized symmetric eigenproblem by shift-invert Lanczos in
-inertia-certified spectrum slices (a Sylvester inertia count fixes how many
-eigenvalues each slice must return), and Richardson-extrapolates across
-refinement levels assuming second-order eigenvalue convergence.
+solves the generalized symmetric eigenproblem in inertia-certified spectrum
+slices (a Sylvester inertia count fixes how many eigenvalues each slice must
+return), and Richardson-extrapolates across refinement levels assuming
+second-order eigenvalue convergence. Each slice is solved by a shift-invert
+Lanczos of its own (one full Gram-Schmidt pass per step, no restarts and no
+ARPACK) that stops as soon as exactly the counted number of converged Ritz
+values lies inside the slice (Grimes, Lewis & Simon, SIAM J. Matrix Anal.
+Appl. 15 (1994); Campos & Roman, Numer. Algorithms 60 (2012)).
 
 The counts make the slices independent, so they are solved in parallel by
 the `workers` process pool: one worker per core in the affinity mask, each
 with one BLAS thread, started on the first multi-slice solve and kept for
-the life of the process (about 170 MB per worker at the flagship's 12,700
-degrees of freedom). A one-core mask (`taskset -c 0`) solves in-process.
+the life of the process (about 150-160 MB per worker at the flagship's
+12,700 degrees of freedom). A one-core mask (`taskset -c 0`) solves in-process.
 """
 
 from __future__ import annotations
@@ -36,9 +40,12 @@ NEUMANN = "Neumann"
 
 # desk-scale caps
 MAX_EIGENVALUES = 5000
-_EIGSH_SEED = 20240901
+_LANCZOS_SEED = 20240901
 _SLICE_SIZE = 250  # eigenvalues per spectrum slice
-_RITZ_MARGIN = 10  # Ritz values requested beyond a slice's inertia count
+_LANCZOS_ROWS = 21  # first basis: 2 want + 21 rows, ARPACK's ncv for want + 10 values
+_LANCZOS_CAP = 4  # step cap: this many first bases
+_RITZ_CHECK = 10  # Lanczos steps between Ritz convergence checks
+_RITZ_TOL = 1e-10  # converged: residual bound below this times |theta|
 
 
 @dataclass
@@ -230,23 +237,54 @@ def _factor(K: sp.spmatrix, M: sp.spmatrix, s: float):
 def _solve_slice(K, M, lo: float, hi: float, want: int, v0: np.ndarray) -> np.ndarray:
     """The `want` eigenvalues of (K, M) in [lo, hi), ascending.
 
-    Shift-invert Lanczos about the midpoint, with its LU as the inverse: the
-    `want` eigenvalues nearest the midpoint are exactly those inside, and
-    finding any other number is a ConvergenceError.
+    Lanczos on (K - sigma M)^-1 M in the M inner product, sigma the midpoint,
+    with its LU as the inverse: the eigenvalues inside are the Ritz values
+    theta with sigma + 1/theta in [lo, hi). Each step runs the three-term
+    recurrence and then one full Gram-Schmidt pass against the basis. The
+    loop stops once exactly `want` converged Ritz values lie inside and no
+    unconverged one does; a Ritz value is converged when its residual bound
+    |beta_m s_m| is below _RITZ_TOL |theta|. More than `want` converged
+    inside, or no stop within the step cap, is a ConvergenceError.
     """
     sigma = 0.5 * (lo + hi)
     lu, _ = _factor(K, M, sigma)
-    op = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float)
-    vals = spla.eigsh(
-        K, k=want + _RITZ_MARGIN, M=M, sigma=sigma, which="LM", OPinv=op,
-        v0=v0, return_eigenvectors=False, maxiter=5000,
-    )
-    inside = np.sort(vals[(vals >= lo) & (vals < hi)])
-    if len(inside) != want:
+    ndof = K.shape[0]
+    rows = min(ndof, 2 * want + _LANCZOS_ROWS)  # grown on demand up to the cap
+    cap = min(ndof, _LANCZOS_CAP * rows)
+    basis = np.empty((rows, ndof))
+    alpha, beta = np.empty(cap), np.empty(cap)
+    mv = M @ v0
+    norm = math.sqrt(v0 @ mv)
+    v, mv = v0 / norm, mv / norm
+    found, stopped = 0, False
+    for m in range(cap):
+        if m == len(basis):
+            basis = np.concatenate([basis, np.empty((min(rows, cap - m), ndof))])
+        basis[m] = v
+        w = lu.solve(mv)
+        alpha[m] = w @ mv
+        w -= alpha[m] * v
+        if m:
+            w -= beta[m - 1] * basis[m - 1]
+        w -= (basis[: m + 1] @ (M @ w)) @ basis[: m + 1]
+        mv = M @ w
+        beta[m] = math.sqrt(w @ mv)
+        if m + 1 >= want and ((m + 1 - want) % _RITZ_CHECK == 0 or m + 1 == cap):
+            theta, s = sla.eigh_tridiagonal(alpha[: m + 1], beta[:m])
+            converged = np.abs(beta[m] * s[-1]) <= _RITZ_TOL * np.abs(theta)
+            with np.errstate(divide="ignore"):
+                lam = sigma + 1.0 / theta
+            inside = (lam >= lo) & (lam < hi)
+            found = int(np.count_nonzero(inside & converged))
+            stopped = found == want and bool(np.all(converged[inside]))
+            if stopped or found > want:
+                break
+        v, mv = w / beta[m], mv / beta[m]
+    if not stopped:
         raise ConvergenceError(
-            f"slice [{lo:.6g}, {hi:.6g}) holds {want} eigenvalues, Lanczos found {len(inside)}"
+            f"slice [{lo:.6g}, {hi:.6g}) holds {want} eigenvalues, Lanczos found {found}"
         )
-    return inside
+    return np.sort(lam[inside])
 
 
 def lowest_eigenvalues(
@@ -260,7 +298,8 @@ def lowest_eigenvalues(
     """Lowest n generalized eigenvalues of (K, M) via inertia-certified slices.
 
     Slice bounds are Weyl estimates, added until an inertia count shows n
-    eigenvalues below the last one. Each slice is solved by `_solve_slice`,
+    eigenvalues below the last one; the counts taken so far aim each next
+    bound. Each slice is solved by `_solve_slice`,
     which must find exactly its counted eigenvalues, else ConvergenceError.
     The counts stay here; each slice goes to the `workers` pool (one worker
     per core in the affinity mask, each with one BLAS thread) as soon as its
@@ -271,22 +310,30 @@ def lowest_eigenvalues(
     ndof = K.shape[0]
     if n > ndof:
         raise ConvergenceError(f"requested {n} eigenvalues but only {ndof} dofs")
-    if n + _RITZ_MARGIN >= ndof:
-        return sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)[:n]
-    v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(ndof)
+    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(ndof)
     slices = math.ceil(n / _SLICE_SIZE)
 
     def slice_calls():
-        # Weyl index steps of at most _SLICE_SIZE, shortened near n to twice
-        # the shortfall; no eigenvalue lies below -1
-        lo, count, j = -1.0, 0, 0.0
+        # Each bound aims at an even share of the eigenvalues still missing,
+        # in slices of at most _SLICE_SIZE, along the secant through the
+        # last two (Weyl index, count) points; a Weyl step at most doubles
+        # from one bound to the next. No eigenvalue lies below -1
+        lo, count, j, step, slope = -1.0, 0, 0.0, math.inf, 1.0
         while count < n:
-            j += min(n / slices, 2 * (n - count))
-            hi = _weyl_lambda(j, area, perimeter, bc)
-            want = _factor(K, M, hi)[1] - count
-            if want:
-                yield _solve_slice, (K, M, lo, hi, want, v0)
-            lo, count = hi, count + want
+            share = (n - count) / math.ceil((n - count) / _SLICE_SIZE)
+            step = min(share / slope, 2 * step)
+            while True:
+                hi = _weyl_lambda(j + step, area, perimeter, bc)
+                above = _factor(K, M, hi)[1]
+                if above > count:
+                    slope = (above - count) / step
+                if not 0 < n - above < share / 4:
+                    break
+                # move this bound past n rather than leave a small last slice
+                step += 2 * (n - above) / slope
+            if above > count:
+                yield _solve_slice, (K, M, lo, hi, above - count, v0)
+            lo, count, j = hi, above, j + step
 
     run = workers.executor(slices)
     return np.concatenate(run(slice_calls()))[:n]

@@ -122,8 +122,8 @@ class Trapezoid:
 
     def __post_init__(self):
         B, h, alpha, beta = self.B, self.h, self.alpha, self.beta
-        if not (B > 0 and h > 0):
-            raise DomainError("B and h must be positive")
+        if not (0 < B < math.inf and 0 < h < math.inf):
+            raise DomainError("B and h must be positive and finite")
         if not (0 < beta <= alpha <= math.pi / 2 + 1e-15):
             raise DomainError("base angles must satisfy 0 < beta <= alpha <= pi/2")
         b = B - h * (_cot(alpha) + _cot(beta))

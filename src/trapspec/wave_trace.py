@@ -71,8 +71,8 @@ def order_frequencies(spectrum: Spectrum) -> np.ndarray:
 
 def probe(spectrum: Spectrum, t0: float, sigma: float, k_list) -> SingularityProbe:
     """Windowed wave-trace profile I(k) at candidate time t0 (closed form)."""
-    if sigma <= 0 or t0 <= 0:
-        raise DomainError("sigma and t0 must be positive")
+    if not (0 < sigma < math.inf and 0 < t0 < math.inf):
+        raise DomainError("sigma and t0 must be positive and finite")
     ks = np.atleast_1d(np.asarray(k_list, dtype=float))
     mu = np.sqrt(spectrum.eigenvalues)
     diff = mu[None, :] - ks[:, None]

@@ -9,16 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
+import scipy.sparse as sp
 
 import trapspec
-from trapspec import workers
+from trapspec import eigensolver, workers
 from trapspec.errors import ConvergenceError, DomainError, MeshError
 from trapspec.eigensolver import (
     DIRICHLET,
     NEUMANN,
     Spectrum,
-    _EIGSH_SEED,
+    _LANCZOS_SEED,
+    _SLICE_SIZE,
     _factor,
     _restrict_dirichlet,
     _solve_slice,
@@ -175,7 +176,7 @@ def small_system(request, flagship_trapezoid):
 
 @pytest.fixture
 def slices_in_process(monkeypatch):
-    """Solve every slice in this process, where a patched scipy function is seen."""
+    """Solve every slice in this process, where a patched function is seen."""
     monkeypatch.setattr(workers, "executor", lambda tasks: workers.in_process)
 
 
@@ -215,30 +216,64 @@ class TestInertiaSlicing:
     def test_bounds_extended_when_weyl_falls_short(self, small_system, monkeypatch, slices_in_process):
         poly, bc, K, M, dense = small_system
         calls = []
-        eigsh = spla.eigsh
+        solve = eigensolver._solve_slice
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs["k"])
-            return eigsh(*args, **kwargs)
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
 
-        monkeypatch.setattr(spla, "eigsh", counted)
+        monkeypatch.setattr(eigensolver, "_solve_slice", counted)
         n = len(dense) // 2
         # a fourfold area puts the Weyl guess for lambda_n near lambda_{n/4}
         ev = lowest_eigenvalues(K, M, n, 4 * poly.area, poly.perimeter, bc)
         assert_matches_dense(ev, dense)
-        assert len(calls) > 2  # one slice per added bound; the true area needs two
+        assert len(calls) > 2  # one slice per added bound; the true area needs two or three
 
     def test_dropped_ritz_value_is_an_error(self, small_system, monkeypatch, slices_in_process):
         poly, bc, K, M, dense = small_system
-        eigsh = spla.eigsh
+        tridiagonal = sla.eigh_tridiagonal
 
         def drop_nearest(*args, **kwargs):
-            vals = eigsh(*args, **kwargs)
-            return np.delete(vals, np.argmin(np.abs(vals - kwargs["sigma"])))
+            # the Ritz value of largest |theta| maps nearest the shift
+            theta, s = tridiagonal(*args, **kwargs)
+            i = np.argmax(np.abs(theta))
+            return np.delete(theta, i), np.delete(s, i, axis=1)
 
-        monkeypatch.setattr(spla, "eigsh", drop_nearest)
+        monkeypatch.setattr(sla, "eigh_tridiagonal", drop_nearest)
         with pytest.raises(ConvergenceError):
             lowest_eigenvalues(K, M, len(dense) // 2, poly.area, poly.perimeter, bc)
+
+    def test_exact_double_eigenvalues(self):
+        # two uncoupled copies of the square: every eigenvalue is exactly
+        # double, and a one-vector Krylov space reaches the second copy only
+        # through rounding
+        mesh = triangulate(UNIT_SQUARE, 0.08)
+        K, M = _restrict_dirichlet(*assemble_p1(mesh), mesh.boundary_mask)
+        K2, M2 = sp.block_diag([K, K], format="csc"), sp.block_diag([M, M], format="csc")
+        dense = sla.eigh(K2.toarray(), M2.toarray(), eigvals_only=True)
+        ev = lowest_eigenvalues(K2, M2, 40, 2 * UNIT_SQUARE.area, 2 * UNIT_SQUARE.perimeter, DIRICHLET)
+        assert_matches_dense(ev, dense)
+        assert np.all(np.abs(ev[0::2] - ev[1::2]) <= 1e-9 * ev[1::2])
+
+    @pytest.mark.parametrize("levels", [1, 2], ids=["coarse", "fine"])
+    def test_flagship_levels_take_fewest_slices(self, flagship_trapezoid, levels, monkeypatch, slices_in_process):
+        # the flagship's level_eigenvalues(n=800, mesh_size=0.012, refine_levels=2)
+        poly = vertices(flagship_trapezoid)
+        mesh = triangulate(poly, 0.024)
+        for _ in range(levels - 1):
+            mesh = refine_uniform(mesh, poly)
+        K, M = _restrict_dirichlet(*assemble_p1(mesh), mesh.boundary_mask)
+        wants = []
+
+        def planned(K, M, lo, hi, want, v0):
+            wants.append(want)
+            return np.linspace(lo, hi, want, endpoint=False)
+
+        monkeypatch.setattr(eigensolver, "_solve_slice", planned)
+        n = 800
+        lowest_eigenvalues(K, M, n, poly.area, poly.perimeter, DIRICHLET)
+        assert len(wants) == math.ceil(n / _SLICE_SIZE)
+        assert n <= sum(wants) <= n + _SLICE_SIZE / 10
 
 
 # 961 interior nodes; n = 300 needs two slices of at most 250 eigenvalues
@@ -279,7 +314,7 @@ class TestWorkerPool:
     def test_worker_error_reaches_caller(self, square_system, pool):
         K, M, dense = square_system
         lo, hi = -1.0, 0.5 * (dense[9] + dense[10])
-        v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(K.shape[0])
+        v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(K.shape[0])
         call = (_solve_slice, (K, M, lo, hi, 11, v0))  # the slice holds 10
         with pytest.raises(ConvergenceError) as here:
             workers.in_process([call])

@@ -41,6 +41,13 @@ class TestNewTrapezoid:
         with pytest.raises(DomainError):
             new_trapezoid(B=1, h=5, alpha=math.pi / 3, beta=math.pi / 3)
 
+    @pytest.mark.parametrize(
+        "B, h", [(math.inf, 1.0), (math.nan, 1.0), (2.0, math.inf), (2.0, math.nan)]
+    )
+    def test_non_finite_side_rejected(self, B, h):
+        with pytest.raises(DomainError):
+            new_trapezoid(B=B, h=h, alpha=1.2, beta=1.0)
+
     def test_angle_ordering_rejected(self):
         with pytest.raises(DomainError):
             new_trapezoid(B=1, h=0.1, alpha=0.5, beta=1.0)

@@ -55,6 +55,13 @@ class TestProbe:
         b = probe(square5000, 2.0, SIGMA, ks).values
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "t0, sigma", [(2.0, math.nan), (math.nan, SIGMA), (2.0, math.inf), (math.inf, SIGMA), (2.0, 0.0), (-1.0, SIGMA)]
+    )
+    def test_bad_window(self, t0, sigma):
+        with pytest.raises(DomainError):
+            probe(exact_rectangle_spectrum(1, 1, 50), t0, sigma, [3.0])
+
     def test_csv_export(self, square5000):
         text = probe(square5000, 2.0, SIGMA, [40.0, 50.0]).to_csv()
         assert text.startswith("# t0=")
