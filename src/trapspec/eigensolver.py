@@ -10,11 +10,13 @@ ARPACK) that stops as soon as exactly the counted number of converged Ritz
 values lies inside the slice (Grimes, Lewis & Simon, SIAM J. Matrix Anal.
 Appl. 15 (1994); Campos & Roman, Numer. Algorithms 60 (2012)).
 
-The counts make the slices independent, so they are solved in parallel by
-the `workers` process pool: one worker per core in the affinity mask, each
-with one BLAS thread, started on the first multi-slice solve and kept for
-the life of the process (about 150-160 MB per worker at the flagship's
-12,700 degrees of freedom). A one-core mask (`taskset -c 0`) solves in-process.
+The counts make the slices independent, so every level's slices are solved
+in one run of the `workers` process pool, the finest level's first: one
+worker per core in the affinity mask, each with one BLAS thread, started on
+the first solve whose levels take more than one slice each and kept for the
+life of the process (about 135 MB per worker after a flagship solve at
+12,700 degrees of freedom). A one-core mask (`taskset -c 0`) solves
+in-process.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ NEUMANN = "Neumann"
 # desk-scale caps
 MAX_EIGENVALUES = 5000
 _LANCZOS_SEED = 20240901
-_SLICE_SIZE = 250  # eigenvalues per spectrum slice
+_SLICE_SIZE = 160  # a level of n eigenvalues takes ceil(n / _SLICE_SIZE) slices
 _LANCZOS_ROWS = 21  # first basis: 2 want + 21 rows, ARPACK's ncv for want + 10 values
 _LANCZOS_CAP = 4  # step cap: this many first bases
 _RITZ_CHECK = 10  # Lanczos steps between Ritz convergence checks
@@ -287,6 +289,72 @@ def _solve_slice(K, M, lo: float, hi: float, want: int, v0: np.ndarray) -> np.nd
     return np.sort(lam[inside])
 
 
+def _slice_calls(K, M, n: int, area: float, perimeter: float, bc: str):
+    """The `_solve_slice` calls that return the lowest n eigenvalues of (K, M).
+
+    Slice bounds are Weyl estimates, added until an inertia count shows n
+    eigenvalues below the last one. A level is planned as ceil(n /
+    _SLICE_SIZE) slices: each bound aims at an even share of the eigenvalues
+    still missing over the planned slices still to come, so the remaining
+    shares absorb an aim that falls short or long. Only when the last
+    planned slice falls short by a quarter of its share or more is another
+    added. The counts are taken here, as the calls are drawn, so counting
+    overlaps solving on the pool.
+    """
+    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(K.shape[0])
+    # each aim follows the secant through the last two (Weyl index, count)
+    # points, and a Weyl step at most doubles from one bound to the next.
+    # No eigenvalue lies below -1
+    lo, count, j, step, slope = -1.0, 0, 0.0, math.inf, 1.0
+    left = math.ceil(n / _SLICE_SIZE)  # planned slices still to come
+    while count < n:
+        share = (n - count) / max(left, 1)
+        step = min(share / slope, 2 * step)
+        while True:
+            hi = _weyl_lambda(j + step, area, perimeter, bc)
+            above = _factor(K, M, hi)[1]
+            if above > count:
+                slope = (above - count) / step
+            if not 0 < n - above < share / 4:
+                break
+            # move this bound past n rather than leave a small last slice
+            step += 2 * (n - above) / slope
+        if above > count:
+            yield _solve_slice, (K, M, lo, hi, above - count, v0)
+            left -= 1
+        lo, count, j = hi, above, j + step
+
+
+def _solve_levels(systems, n: int, area: float, perimeter: float, bc: str) -> list[np.ndarray]:
+    """Lowest n generalized eigenvalues of each (K, M) in systems, in one run.
+
+    Every system's slices go through one `workers` run, the last system's
+    (the finest level's, whose slices take longest) first, so no worker
+    waits at a barrier between levels. The pool is asked for the per-system
+    slice count, so when each system fits in one slice nothing starts a
+    pool. Results are collected in slice order and do not depend on
+    scheduling.
+    """
+    for K, _ in systems:
+        if n > K.shape[0]:
+            raise ConvergenceError(f"requested {n} eigenvalues but only {K.shape[0]} dofs")
+    taken = []  # slice calls drawn from each system, last system first
+
+    def calls():
+        for K, M in reversed(systems):
+            taken.append(0)
+            for call in _slice_calls(K, M, n, area, perimeter, bc):
+                taken[-1] += 1
+                yield call
+
+    results = workers.executor(math.ceil(n / _SLICE_SIZE))(calls())
+    out, start = [], 0
+    for size in taken:
+        out.append(np.concatenate(results[start : start + size])[:n])
+        start += size
+    return out[::-1]
+
+
 def lowest_eigenvalues(
     K: sp.spmatrix,
     M: sp.spmatrix,
@@ -297,46 +365,14 @@ def lowest_eigenvalues(
 ) -> np.ndarray:
     """Lowest n generalized eigenvalues of (K, M) via inertia-certified slices.
 
-    Slice bounds are Weyl estimates, added until an inertia count shows n
-    eigenvalues below the last one; the counts taken so far aim each next
-    bound. Each slice is solved by `_solve_slice`,
-    which must find exactly its counted eigenvalues, else ConvergenceError.
-    The counts stay here; each slice goes to the `workers` pool (one worker
-    per core in the affinity mask, each with one BLAS thread) as soon as its
-    upper count is known, so counting overlaps solving. With one core, or
-    one slice, the slices are solved in this process. Results are collected
-    in slice order and do not depend on scheduling.
+    Each slice's bounds come from `_slice_calls`, and each slice is solved
+    by `_solve_slice`, which must find exactly its counted eigenvalues,
+    else ConvergenceError. The slices go to the `workers` pool (one worker
+    per core in the affinity mask, each with one BLAS thread) as soon as
+    their upper counts are known; with one core, or one slice, they are
+    solved in this process. This is the one-level case of `_solve_levels`.
     """
-    ndof = K.shape[0]
-    if n > ndof:
-        raise ConvergenceError(f"requested {n} eigenvalues but only {ndof} dofs")
-    v0 = np.random.default_rng(_LANCZOS_SEED).standard_normal(ndof)
-    slices = math.ceil(n / _SLICE_SIZE)
-
-    def slice_calls():
-        # Each bound aims at an even share of the eigenvalues still missing,
-        # in slices of at most _SLICE_SIZE, along the secant through the
-        # last two (Weyl index, count) points; a Weyl step at most doubles
-        # from one bound to the next. No eigenvalue lies below -1
-        lo, count, j, step, slope = -1.0, 0, 0.0, math.inf, 1.0
-        while count < n:
-            share = (n - count) / math.ceil((n - count) / _SLICE_SIZE)
-            step = min(share / slope, 2 * step)
-            while True:
-                hi = _weyl_lambda(j + step, area, perimeter, bc)
-                above = _factor(K, M, hi)[1]
-                if above > count:
-                    slope = (above - count) / step
-                if not 0 < n - above < share / 4:
-                    break
-                # move this bound past n rather than leave a small last slice
-                step += 2 * (n - above) / slope
-            if above > count:
-                yield _solve_slice, (K, M, lo, hi, above - count, v0)
-            lo, count, j = hi, above, j + step
-
-    run = workers.executor(slices)
-    return np.concatenate(run(slice_calls()))[:n]
+    return _solve_levels([(K, M)], n, area, perimeter, bc)[0]
 
 
 # ---- public FEM driver -----------------------------------------------------
@@ -393,9 +429,13 @@ def level_eigenvalues(
     """Raw eigenvalues of each usable refinement level, coarsest first.
 
     Triangulates at mesh_size * 2**(refine_levels - 1), refines uniformly
-    down to mesh_size (default: a shortest-edge / 8 element), then assembles,
-    restricts and solves every level. Levels with too few degrees of freedom
-    to represent n modes are skipped; MeshError when none is left.
+    down to mesh_size (default: a shortest-edge / 8 element), then assembles
+    and restricts every level. Levels with too few degrees of freedom to
+    represent n modes are skipped; MeshError when none is left. mesh_size
+    must be positive and finite, and the coarsest element no longer than the
+    shortest edge, else MeshError before any meshing. The usable levels'
+    spectrum slices are all solved in one `workers` run, the finest level's
+    first, since its slices take longest (`_solve_levels`).
     """
     if not polygon.is_convex():
         raise DomainError("polygon must be convex")
@@ -407,10 +447,18 @@ def level_eigenvalues(
     shortest = float(np.min(np.linalg.norm(edges[:, 1] - edges[:, 0], axis=1)))
     if mesh_size is None:
         mesh_size = shortest / 8.0
+    if not (math.isfinite(mesh_size) and mesh_size > 0):
+        raise MeshError(f"mesh_size must be positive and finite, got {mesh_size}")
     if mesh_size > shortest / 8.0 + 1e-12:
         raise MeshError("mesh_size must resolve the shortest edge by >= 8 elements")
     if refine_levels < 1:
         raise DomainError("refine_levels must be >= 1")
+    # compared in halvings, so a huge refine_levels cannot overflow
+    if refine_levels - 1 > math.log2(shortest / mesh_size) + 1e-9:
+        raise MeshError(
+            f"the coarsest element, mesh_size * 2**{refine_levels - 1}, must be no longer"
+            f" than the shortest edge {shortest:.6g}"
+        )
 
     coarse_h = mesh_size * 2 ** (refine_levels - 1)
     mesh = triangulate(polygon, coarse_h)
@@ -419,16 +467,15 @@ def level_eigenvalues(
         mesh = refine_uniform(mesh, polygon)
         meshes.append(mesh)
 
-    out = []
+    systems = []
     for m in meshes:
         K, M = assemble_p1(m)
         if bc == DIRICHLET:
             K, M = _restrict_dirichlet(K, M, m.boundary_mask)
         else:
             K, M = K.tocsc(), M.tocsc()
-        if K.shape[0] < int(1.25 * n) + 5:
-            continue  # too coarse to represent n modes
-        out.append(lowest_eigenvalues(K, M, n, polygon.area, polygon.perimeter, bc))
-    if not out:
+        if K.shape[0] >= int(1.25 * n) + 5:  # else too coarse to represent n modes
+            systems.append((K, M))
+    if not systems:
         raise MeshError("no refinement level had enough degrees of freedom")
-    return out
+    return _solve_levels(systems, n, polygon.area, polygon.perimeter, bc)

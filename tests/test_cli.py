@@ -165,6 +165,14 @@ class TestMalformedInput:
               "--refine-levels", "2"], "DomainError"),
             (["spectrum", "{square}", "--bc", "D", "--n", "-3", "--mesh-size", "0.0625",
               "--refine-levels", "2"], "DomainError"),
+            (["spectrum", "{square}", "--n", "5", "--mesh-size", "-0.1", "--refine-levels", "2"],
+             "MeshError"),
+            (["spectrum", "{square}", "--n", "5", "--mesh-size", "0", "--refine-levels", "2"],
+             "MeshError"),
+            (["spectrum", "{square}", "--n", "5", "--mesh-size", "nan", "--refine-levels", "2"],
+             "MeshError"),
+            (["spectrum", "{square}", "--n", "5", "--mesh-size", "0.125", "--refine-levels", "6"],
+             "MeshError"),
             (["invariants", "{bad_tag}"], "DomainError"),
             (["invariants", "{header_only}"], "DomainError"),
             (["invariants", "{no_domain}"], "DomainError"),
@@ -182,7 +190,9 @@ class TestMalformedInput:
             (["orbits", "{null_angle}", "--lmax", "3"], "ValueError"),
             (["orbits", "{null_vertex}", "--lmax", "3"], "DomainError"),
         ],
-        ids=["spectrum-N-n0", "spectrum-D-negative-n", "invariants-unknown-bc-tag",
+        ids=["spectrum-N-n0", "spectrum-D-negative-n", "spectrum-mesh-size-negative",
+             "spectrum-mesh-size-0", "spectrum-mesh-size-nan", "spectrum-coarsest-element-too-long",
+             "invariants-unknown-bc-tag",
              "invariants-header-only", "invariants-no-domain-field", "wavetrace-header-only",
              "wavetrace-sigma-0", "wavetrace-sigma-negative", "wavetrace-sigma-nan",
              "reconstruct-sigma-0", "spectrum-nan-side", "spectrum-null-side",

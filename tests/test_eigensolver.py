@@ -135,6 +135,20 @@ class TestLevelLadder:
         with pytest.raises(MeshError):
             level_eigenvalues(UNIT_SQUARE, DIRICHLET, 5, 0.5, 1)
 
+    @pytest.mark.parametrize("mesh_size", [-0.1, 0.0, math.nan, math.inf])
+    def test_rejects_bad_mesh_size_before_meshing(self, mesh_size, monkeypatch):
+        monkeypatch.setattr(eigensolver, "triangulate", None)  # meshing would raise TypeError
+        with pytest.raises(MeshError):
+            level_eigenvalues(UNIT_SQUARE, DIRICHLET, 5, mesh_size, 2)
+
+    def test_rejects_coarsest_element_longer_than_shortest_edge(self):
+        # 1/8 * 2**5 = 4 on the unit square; unguarded, 6 levels at 1/8 stay cheap
+        with pytest.raises(MeshError):
+            compute_spectrum(UNIT_SQUARE, n=5, mesh_size=1 / 8, refine_levels=6)
+        # a coarsest element as long as the shortest edge is allowed; of its
+        # levels 1, 1/2, 1/4 and 1/8 only the last has the 11 nodes 5 modes need
+        assert len(level_eigenvalues(UNIT_SQUARE, DIRICHLET, 5, 1 / 8, 4)) == 1
+
     def test_compute_spectrum_extrapolates_last_two_levels(self):
         # the h = 1/4 level has 10 interior nodes, too few for 10 modes
         levels = level_eigenvalues(UNIT_SQUARE, DIRICHLET, 10, 1 / 16, 3)
@@ -276,7 +290,36 @@ class TestInertiaSlicing:
         assert n <= sum(wants) <= n + _SLICE_SIZE / 10
 
 
-# 961 interior nodes; n = 300 needs two slices of at most 250 eigenvalues
+class TestLevelRun:
+    """level_eigenvalues solves every level's slices in one run, finest level first."""
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_finest_level_first_planned_slices(self, levels, monkeypatch, slices_in_process):
+        # small slices keep three levels cheap: 49, 225 and 961 interior nodes
+        size, n = 12, 30
+        monkeypatch.setattr(eigensolver, "_SLICE_SIZE", size)
+        calls = []
+        solve = eigensolver._solve_slice
+
+        def recorded(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(eigensolver, "_solve_slice", recorded)
+        out = level_eigenvalues(UNIT_SQUARE, DIRICHLET, n, 1 / 32, levels)
+        dofs = [K.shape[0] for K, *_ in calls]
+        assert dofs == sorted(dofs, reverse=True)  # every finer level before any coarser
+        systems = {}  # level dofs -> (K, M), finest first
+        for K, M, *_ in calls:
+            systems.setdefault(K.shape[0], (K, M))
+        assert len(systems) == len(out) == levels
+        assert all(dofs.count(d) == math.ceil(n / size) for d in systems)
+        for ev, (K, M) in zip(out, reversed(systems.values())):
+            alone = lowest_eigenvalues(K, M, n, UNIT_SQUARE.area, UNIT_SQUARE.perimeter, DIRICHLET)
+            assert np.array_equal(ev, alone)
+
+
+# 961 interior nodes; n = 300 needs two slices of at most _SLICE_SIZE eigenvalues
 SQUARE_H = 1 / 32
 SQUARE_N = 300
 
@@ -310,6 +353,27 @@ class TestWorkerPool:
         assert_matches_dense(first, dense)
         assert np.all(np.abs(first - here) <= 1e-9 * here)
         assert np.array_equal(first, second)
+
+    def test_levels_on_pool_match_in_process(self, pool, monkeypatch):
+        def solve(run):
+            monkeypatch.setattr(workers, "executor", lambda tasks: run)
+            return level_eigenvalues(UNIT_SQUARE, DIRICHLET, SQUARE_N, SQUARE_H / 2, 2)
+
+        here = solve(workers.in_process)
+        first, second = solve(pool.run), solve(pool.run)
+        assert len(here) == len(first) == 2
+        for a, b, c in zip(here, first, second):
+            assert np.all(np.abs(b - a) <= 1e-9 * a)
+            assert np.array_equal(b, c)
+
+    def test_single_slice_levels_start_no_pool(self, monkeypatch):
+        def no_pool(size):
+            raise AssertionError(f"a pool of {size} was started for one slice per level")
+
+        monkeypatch.setattr(workers, "cores", lambda: 4)
+        monkeypatch.setattr(workers, "_shared_pool", no_pool)
+        s = compute_spectrum(UNIT_SQUARE, n=20, mesh_size=1 / 16, refine_levels=2)
+        assert s.count == 20
 
     def test_worker_error_reaches_caller(self, square_system, pool):
         K, M, dense = square_system
