@@ -10,6 +10,12 @@ search visits only prenecklace words (the FKM test of Ruskey, Savage & Wang,
 J. Algorithms 13 (1992)) and closes only necklaces, so each closed word is
 walked once rather than once per cyclic rotation.
 
+A word is pruned once no line threads all of its mirrors. From an edge the
+search keeps the convex hulls of the left and of the right mirror endpoints,
+which some line must separate. From a vertex every such line passes through
+the vertex, so the search keeps only the cone of directions there, bounded by
+one left and one right endpoint, and builds no hull.
+
 The subtree of each start is walked on its own, so `length_spectrum` sends
 the edge starts of the orbit search and the vertex starts of the diagonal
 search to the `workers` pool as one batch. The parent merges the replies in
@@ -183,15 +189,15 @@ def _pi_over_n(angle: float) -> bool:
     return False
 
 
-def _clears(px, py, dx, dy, lhull, rhull, tol, skip=None) -> bool:
+def _clears(px, py, dx, dy, lhull, rhull, tol) -> bool:
     """Whether the line through (px, py) along the unit vector (dx, dy) passes
     every left-hull point on its left and every right-hull point on its right
-    by at least tol; a hull point equal to `skip` is exempt."""
+    by at least tol."""
     for x, y in lhull:
-        if dx * (y - py) - dy * (x - px) < tol and (x, y) != skip:
+        if dx * (y - py) - dy * (x - px) < tol:
             return False
     for x, y in rhull:
-        if dx * (y - py) - dy * (x - px) > -tol and (x, y) != skip:
+        if dx * (y - py) - dy * (x - px) > -tol:
             return False
     return True
 
@@ -200,17 +206,18 @@ class _Enumerator:
     """Depth-first search over reflection words with corridor-beam pruning.
 
     `run` and `diagonals` each walk the subtree of one start: an edge (closed
-    orbits: every corridor line crosses it) or a vertex (generalized
-    diagonals: the vertex sits in both hulls, so every corridor line passes
-    through it). Each node hands its word, period, isometry, hulls and mapped
-    mirror endpoints to a visit step. Edge-start words are prenecklaces
-    carrying their FKM period p; a word closes only when p divides its
-    length, i.e. when it is a necklace, the least of its rotations, and it is
-    then the m-fold traversal of its first p letters with m = len(word) // p.
-    Words are visited in lexicographic order, so the record kept for each
-    class under rotation and reversal is still its least word. `nodes`
-    counts the nodes walked in this pruned tree; past `node_budget` the walk
-    stops recording and unwinds.
+    orbits: every corridor line crosses it, and the corridor is the pair of
+    left and right endpoint hulls) or a vertex (generalized diagonals: every
+    corridor line passes through it, and the corridor is the cone of
+    directions there). Each node hands its word, period, isometry, corridor
+    and mapped mirror endpoints to a visit step. Edge-start words are
+    prenecklaces carrying their FKM period p; a word closes only when p
+    divides its length, i.e. when it is a necklace, the least of its
+    rotations, and it is then the m-fold traversal of its first p letters
+    with m = len(word) // p. Words are visited in lexicographic order, so
+    the record kept for each class under rotation and reversal is still its
+    least word. `nodes` counts the nodes walked in this pruned tree; past
+    `node_budget` the walk stops recording and unwinds.
     """
 
     def __init__(self, polygon: Polygon, lmax: float, period_max: int, node_budget: int):
@@ -232,31 +239,30 @@ class _Enumerator:
 
     def run(self, first: int) -> None:
         """Walk the prenecklace words that begin with edge `first`."""
-        self._start, self._visit = None, self._try_close
+        self._start, self._visit, self._narrow = None, self._try_close, self._narrow_hulls
         (ax, ay), (bx, by) = self.edges[first].tolist()
         self._s1 = (ax, ay, bx, by)
         # identity copy is CCW: interior left of v0->v1
-        self._dfs((first,), 1, self.reflections[first], [(bx, by)], [(ax, ay)])
+        self._dfs((first,), 1, self.reflections[first], ([(bx, by)], [(ax, ay)]))
 
     def diagonals(self, vi: int) -> None:
         """Walk the vertex-to-vertex chains that leave vertex `vi`."""
         self._rational = [_pi_over_n(a) for a in self.polygon.interior_angles()]
-        self._visit = self._try_vertex
+        self._visit, self._narrow = self._try_vertex, self._narrow_cone
         px, py = self.polygon.vertices[vi].tolist()
         self._start, self._vi = (px, py), vi
         self._s1 = (px, py, px, py)
-        self._dfs((), None, Isometry.identity(), [(px, py)], [(px, py)])
+        self._dfs((), None, Isometry.identity(), None)  # no mirror yet: every direction
 
-    def _dfs(self, word, period, m, lhull, rhull):
+    def _dfs(self, word, period, m, corridor):
         self.nodes += 1
         if self.nodes > self.node_budget:
             return
         pts = m(self.endpoints).tolist()
-        self._visit(word, period, m, lhull, rhull, pts)
+        self._visit(word, period, m, corridor, pts)
         if len(word) >= self.period_max:
             return
         even = len(word) % 2 == 0  # m has parity (-1)^len(word)
-        neg_tol = -1e-9 * self.scale
         start = self._start
         for j, child_period in _extensions(word, period, self.n_edges):
             p0, p1 = pts[2 * j], pts[2 * j + 1]
@@ -268,19 +274,54 @@ class _Enumerator:
             ):
                 continue  # mirror through the start vertex: no interior crossing
             # crossing orientation flips with the copy's parity
-            lp, rp = (tuple(p1), tuple(p0)) if even else (tuple(p0), tuple(p1))
-            new_lhull = _hull_pts(lhull + [lp])
-            new_rhull = _hull_pts(rhull + [rp])
-            if not hulls_separated(new_lhull, new_rhull, neg_tol):
+            lp, rp = (p1, p0) if even else (p0, p1)
+            child = self._narrow(corridor, lp, rp)
+            if child is None:
                 continue  # no directed line threads all mirrors
-            self._dfs(
-                word + (j,), child_period, m.compose(self.reflections[j]), new_lhull, new_rhull
-            )
+            self._dfs(word + (j,), child_period, m.compose(self.reflections[j]), child)
 
-    def _try_vertex(self, word, period, m, lhull, rhull, pts):
-        # a chain ends at vertex q of this copy when the line p -> q passes
-        # every other hull point by at least tol on its side
-        px, py = p = self._start
+    def _narrow_hulls(self, hulls, lp, rp):
+        """The edge-start corridor past mirror lp-rp, or None if it closes.
+
+        The corridor is the hull of the left mirror endpoints and the hull of
+        the right ones; some line threads every mirror while they separate.
+        """
+        lhull, rhull = hulls
+        new_lhull = _hull_pts(lhull + [tuple(lp)])
+        new_rhull = _hull_pts(rhull + [tuple(rp)])
+        if not hulls_separated(new_lhull, new_rhull, -self.tol):
+            return None
+        return new_lhull, new_rhull
+
+    def _narrow_cone(self, cone, lp, rp):
+        """The vertex-start corridor past mirror lp-rp, or None if it closes.
+
+        Every corridor line passes through the start vertex P, so the corridor
+        is a cone of directions at P, held as two vectors from P: `left`, the
+        most clockwise left endpoint, and `right`, the most counterclockwise
+        right one. A direction threads every mirror when it lies clockwise of
+        `left` and counterclockwise of `right`, so the cone is open while
+        `left` is not clockwise of `right`, up to the tolerance that
+        hulls_separated allows on the hull edges through P.
+        """
+        px, py = self._start
+        lx, ly = lp[0] - px, lp[1] - py
+        rx, ry = rp[0] - px, rp[1] - py
+        if cone is not None:
+            (ax, ay), (bx, by) = cone
+            if ax * ly - ay * lx >= 0:
+                lx, ly = ax, ay  # the old left limit stays the more binding
+            if bx * ry - by * rx <= 0:
+                rx, ry = bx, by
+        overlap = rx * ly - ry * lx
+        if overlap < 0 and overlap < -self.tol * max(math.hypot(lx, ly), math.hypot(rx, ry)):
+            return None
+        return (lx, ly), (rx, ry)
+
+    def _try_vertex(self, word, period, m, cone, pts):
+        # a chain ends at vertex q of this copy when the direction p -> q
+        # passes both cone limits by at least tol on their sides
+        px, py = self._start
         vi = self._vi
         for vj in range(self.n_edges):
             qx, qy = pts[2 * vj]
@@ -288,8 +329,11 @@ class _Enumerator:
             dist = math.hypot(dx, dy)
             if dist < self.tol or dist > self.lmax * (1 + 1e-12):
                 continue
-            if not _clears(px, py, dx / dist, dy / dist, lhull, rhull, self.tol, skip=p):
-                continue
+            if cone is not None:
+                ux, uy = dx / dist, dy / dist
+                (lx, ly), (rx, ry) = cone
+                if ux * ly - uy * lx < self.tol or ux * ry - uy * rx > -self.tol:
+                    continue
             # lengths are numpy norms, which can differ from hypot in the last bit
             length = float(np.linalg.norm((dx, dy)))
             key = (
@@ -307,9 +351,10 @@ class _Enumerator:
                     diffractive=not (self._rational[vi] and self._rational[vj]),
                 )
 
-    def _try_close(self, word, period, m, lhull, rhull, pts):
+    def _try_close(self, word, period, m, hulls, pts):
         if len(word) < 2 or len(word) % period:
             return  # too short, or not a necklace: a rotation closes instead
+        lhull, rhull = hulls
         if len(word) % 2 == 0:
             self._close_band(word, m, lhull, rhull, len(word) // period)
         else:
@@ -433,10 +478,12 @@ class _Search:
     kind: str  # "edge": closed orbits; "vertex": generalized diagonals
 
     def __post_init__(self):
-        if self.lmax <= 0:
-            raise DomainError("lmax must be positive")
-        if self.period_max > 64:
-            raise DomainError("period_max above the configured cap")
+        # an infinite lmax never ends the on-edge orbit multiples, and a NaN
+        # one passes every mirror through the distance pre-filter
+        if not (math.isfinite(self.lmax) and self.lmax > 0):
+            raise DomainError("lmax must be finite and positive")
+        if not 1 <= self.period_max <= 64:
+            raise DomainError("period_max must be between 1 and the configured cap of 64")
 
     @property
     def starts(self) -> list[tuple[str, int]]:

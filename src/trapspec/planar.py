@@ -2,8 +2,10 @@
 
 Isometries compose edge reflections. The hull, separating-axis and
 segment-distance helpers work on plain (x, y) tuples and scalars, because
-the reflection-word search calls them at every node, for closed orbits and
-generalized diagonals alike.
+the reflection-word search calls them at every node: the segment distance
+from every start, the hulls and separating axes only from an edge (closed
+orbits). From a vertex (generalized diagonals) the search tracks a cone of
+directions at the vertex instead.
 """
 
 from __future__ import annotations

@@ -220,18 +220,25 @@ class TestGeneralizedDiagonals:
             ), f"band {band.word} length {band.length} has no conical twin"
 
     @pytest.mark.parametrize(
-        "poly",
+        "poly,reach,period_max",
         [
-            SQUARE,
-            vertices(new_trapezoid(B=2, h=1.0, alpha=1.3, beta=0.9)),
-            vertices(new_trapezoid(B=1.7, h=0.8, alpha=1.4, beta=1.0)),
+            (poly, reach, period_max)
+            for reach, period_max in ((2.5, 4), (4.0, 6))
+            for poly in (
+                SQUARE,
+                vertices(new_trapezoid(B=2, h=1.0, alpha=1.3, beta=0.9)),
+                vertices(new_trapezoid(B=1.7, h=0.8, alpha=1.4, beta=1.0)),
+            )
         ],
-        ids=["square", "trapezoid_a", "trapezoid_b"],
+        ids=["square", "trapezoid_a", "trapezoid_b", "square_deep", "trapezoid_a_deep",
+             "trapezoid_b_deep"],
     )
-    def test_matches_unpruned_brute_force(self, poly):
+    def test_matches_unpruned_brute_force(self, poly, reach, period_max):
         # every word up to period_max, unfolded without pruning: a chain
-        # p -> q counts when it crosses each mirror strictly inside
-        lmax, period_max = 2.5 * poly.diameter, 4
+        # p -> q counts when it crosses each mirror strictly inside. The deep
+        # case reaches more square chains through lattice points, where the
+        # walk's tolerance decides
+        lmax = reach * poly.diameter
         verts, edges = poly.vertices, poly.edges()
         nv = len(verts)
         scale = poly.diameter
@@ -480,6 +487,40 @@ class TestPlumbing:
         expected = sorted([orbit] + closed, key=lambda o: o.length)
         assert [o.to_dict() for o in exc.value.partial] == [o.to_dict() for o in expected]
 
+    @pytest.mark.parametrize(
+        "poly,lmax,vertex_nodes,edge_nodes",
+        [
+            (SQUARE, 10.0, [4685] * 4, [6457, 1243, 3, 1]),
+            (
+                vertices(new_trapezoid(B=2.0, h=1.0, alpha=1.309, beta=1.0472)),
+                6.0,
+                [49, 57, 89, 95],
+                [189, 8, 2, 1],
+            ),
+            (
+                vertices(new_trapezoid(B=1.5, h=0.8, alpha=math.pi / 2, beta=math.pi / 4)),
+                5.0,
+                [218, 59, 200, 229],
+                [375, 10, 3, 1],
+            ),
+        ],
+        ids=["square", "readme_trapezoid", "pi2_pi4"],
+    )
+    def test_start_node_counts(self, poly, lmax, vertex_nodes, edge_nodes):
+        # where the summed counts pass the budget decides what
+        # BudgetExceeded.partial holds, so each start's subtree keeps its size.
+        # On pi2_pi4 the pruning tolerance decides: a vertex walk that prunes
+        # every negative overlap walks 91/48/134/92 nodes
+        for kind, period_max, want in (
+            ("vertex", billiards.DIAGONAL_PERIOD_MAX, vertex_nodes),
+            ("edge", billiards.DEFAULT_PERIOD_MAX, edge_nodes),
+        ):
+            got = [
+                billiards._walk_start(poly, lmax, period_max, 10**6, (kind, k))[1]
+                for k in range(len(poly.vertices))
+            ]
+            assert got == want, kind
+
     def test_json_lines(self):
         spec = length_spectrum(SQUARE, 3.0)
         lines = spec.to_json_lines().strip().splitlines()
@@ -500,3 +541,13 @@ class TestPlumbing:
             find_generalized_diagonals(SQUARE, -1.0)
         with pytest.raises(DomainError):
             find_generalized_diagonals(SQUARE, 1.0, period_max=65)
+
+    @pytest.mark.parametrize(
+        "lmax,period_max", [(math.inf, 8), (math.nan, 8), (3.0, 0)], ids=["inf", "nan", "period0"]
+    )
+    def test_unbounded_search_rejected(self, lmax, period_max):
+        # an infinite lmax would never end the on-edge multiples, a NaN one
+        # would walk the whole node budget
+        for search in (enumerate_orbits, find_generalized_diagonals, length_spectrum):
+            with pytest.raises(DomainError):
+                search(SQUARE, lmax, period_max=period_max)

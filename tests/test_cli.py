@@ -189,6 +189,8 @@ class TestMalformedInput:
             (["spectrum", "{null_side}", "--exact", "--n", "10"], "ValueError"),
             (["orbits", "{null_angle}", "--lmax", "3"], "ValueError"),
             (["orbits", "{null_vertex}", "--lmax", "3"], "DomainError"),
+            (["orbits", "{square}", "--lmax", "inf"], "DomainError"),
+            (["orbits", "{square}", "--lmax", "nan"], "DomainError"),
         ],
         ids=["spectrum-N-n0", "spectrum-D-negative-n", "spectrum-mesh-size-negative",
              "spectrum-mesh-size-0", "spectrum-mesh-size-nan", "spectrum-coarsest-element-too-long",
@@ -196,7 +198,8 @@ class TestMalformedInput:
              "invariants-header-only", "invariants-no-domain-field", "wavetrace-header-only",
              "wavetrace-sigma-0", "wavetrace-sigma-negative", "wavetrace-sigma-nan",
              "reconstruct-sigma-0", "spectrum-nan-side", "spectrum-null-side",
-             "orbits-null-angle", "orbits-null-vertex"],
+             "orbits-null-angle", "orbits-null-vertex", "orbits-lmax-inf",
+             "orbits-lmax-nan"],
     )
     def test_exits_1_with_json_error(
         self, argv, error, square_json, square_spectrum_csv, spectrum_files, domain_files,

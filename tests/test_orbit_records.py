@@ -1,17 +1,23 @@
-"""enumerate_orbits against records written before necklace pruning.
+"""The word searches against records written by earlier walks.
 
 data/orbit_records.json holds every ClosedGeodesic that enumerate_orbits
 returned for SHAPES when the edge-start walk still started every closed word
 at each of its rotations. Restricting the walk to prenecklace words must not
 change one record: the class representative kept is the lexicographically
-least word over rotations and reversals, which is a necklace. Rewrite the
-file with `PYTHONPATH=src python tests/test_orbit_records.py` only when the
-enumeration's output is meant to change.
+least word over rotations and reversals, which is a necklace.
+
+Its "diagonals" section holds, per shape, the number of chains that
+find_generalized_diagonals returned when the vertex-start walk still built
+corridor hulls, and the SHA-256 of their to_dict() JSON lines: tracking the
+cone of directions at the start vertex instead must not change one byte.
+Rewrite the file with `PYTHONPATH=src python tests/test_orbit_records.py`
+only when the enumeration's output is meant to change.
 
 The same shapes check that the searches give the same bytes whether their
 start walks run on the worker pool or in-process.
 """
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -65,6 +71,11 @@ def _record(g) -> dict:
     }
 
 
+def _diagonal_digest(poly, lmax) -> dict:
+    lines = "".join(json.dumps(c.to_dict()) + "\n" for c in find_generalized_diagonals(poly, lmax))
+    return {"chains": lines.count("\n"), "sha256": hashlib.sha256(lines.encode()).hexdigest()}
+
+
 SHAPES = _shapes()
 EXACT = ("word", "kind", "parity", "multiplicity")
 CLOSE = ("length", "basepoint", "direction", "width", "swept_area")
@@ -85,6 +96,12 @@ def test_records_unchanged(name, expected):
         for k in CLOSE:
             # vector components may be zero: compare them on the shape's scale
             np.testing.assert_allclose(g[k], w[k], rtol=1e-12, atol=1e-12 * poly.diameter)
+
+
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_diagonal_records_unchanged(name, expected):
+    poly, lmax = SHAPES[name]
+    assert _diagonal_digest(poly, lmax) == expected["diagonals"][name]
 
 
 def _outputs(poly, lmax) -> tuple:
@@ -111,6 +128,11 @@ def test_pool_matches_one_core(name, monkeypatch):
 
 if __name__ == "__main__":
     out = {name: [_record(g) for g in enumerate_orbits(poly, lmax)] for name, (poly, lmax) in SHAPES.items()}
+    n_records = sum(map(len, out.values()))
+    out["diagonals"] = {
+        name: _diagonal_digest(poly, lmax) for name, (poly, lmax) in SHAPES.items()
+    }
+    n_chains = sum(d["chains"] for d in out["diagonals"].values())
     RECORDS.parent.mkdir(exist_ok=True)
     RECORDS.write_text(json.dumps(out, indent=1) + "\n")
-    print(f"{RECORDS}: {sum(map(len, out.values()))} records over {len(out)} shapes")
+    print(f"{RECORDS}: {n_records} records and {n_chains} chains over {len(SHAPES)} shapes")
