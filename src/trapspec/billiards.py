@@ -12,9 +12,13 @@ walked once rather than once per cyclic rotation.
 
 A word is pruned once no line threads all of its mirrors. From an edge the
 search keeps the convex hulls of the left and of the right mirror endpoints,
-which some line must separate. From a vertex every such line passes through
-the vertex, so the search keeps only the cone of directions there, bounded by
-one left and one right endpoint, and builds no hull.
+which some line must separate. Beside them it keeps a witness axis along
+which the two sets were last seen apart, and most children are decided
+without a separating-axis test: kept when the witness still holds, pruned
+when two mirror-endpoint segments cross deeply (a crossing certificate).
+Only when neither decides are the hulls tested. From a vertex every such line
+passes through the vertex, so the search keeps only the cone of directions
+there, bounded by one left and one right endpoint, and builds no hull.
 
 The subtree of each start is walked on its own, so `length_spectrum` sends
 the edge starts of the orbit search and the vertex starts of the diagonal
@@ -34,7 +38,15 @@ import numpy as np
 from . import workers
 from .errors import BudgetExceeded, DomainError
 from .geometry import Polygon, Trapezoid, vertices
-from .planar import Isometry, _hull_pts, cross2, hulls_separated, seg_dist_pts
+from .planar import (
+    Isometry,
+    _hull_pts,
+    cross2,
+    crossing_depth,
+    hulls_separated,
+    pt_seg,
+    seg_dist_pts,
+)
 
 DEFAULT_PERIOD_MAX = 24
 DIAGONAL_PERIOD_MAX = 16
@@ -207,17 +219,18 @@ class _Enumerator:
 
     `run` and `diagonals` each walk the subtree of one start: an edge (closed
     orbits: every corridor line crosses it, and the corridor is the pair of
-    left and right endpoint hulls) or a vertex (generalized diagonals: every
-    corridor line passes through it, and the corridor is the cone of
-    directions there). Each node hands its word, period, isometry, corridor
-    and mapped mirror endpoints to a visit step. Edge-start words are
-    prenecklaces carrying their FKM period p; a word closes only when p
-    divides its length, i.e. when it is a necklace, the least of its
-    rotations, and it is then the m-fold traversal of its first p letters
-    with m = len(word) // p. Words are visited in lexicographic order, so
-    the record kept for each class under rotation and reversal is still its
-    least word. `nodes` counts the nodes walked in this pruned tree; past
-    `node_budget` the walk stops recording and unwinds.
+    left and right endpoint hulls with a witness axis, see `_narrow_hulls`)
+    or a vertex (generalized diagonals: every corridor line passes through
+    it, and the corridor is the cone of directions there). Each node hands
+    its word, period, isometry, corridor and mapped mirror endpoints to a
+    visit step. Edge-start words are prenecklaces carrying their FKM period
+    p; a word closes only when p divides its length, i.e. when it is a
+    necklace, the least of its rotations, and it is then the m-fold
+    traversal of its first p letters with m = len(word) // p. Words are
+    visited in lexicographic order, so the record kept for each class under
+    rotation and reversal is still its least word. `nodes` counts the nodes
+    walked in this pruned tree; past `node_budget` the walk stops recording
+    and unwinds.
     """
 
     def __init__(self, polygon: Polygon, lmax: float, period_max: int, node_budget: int):
@@ -241,9 +254,14 @@ class _Enumerator:
         """Walk the prenecklace words that begin with edge `first`."""
         self._start, self._visit, self._narrow = None, self._try_close, self._narrow_hulls
         (ax, ay), (bx, by) = self.edges[first].tolist()
-        self._s1 = (ax, ay, bx, by)
-        # identity copy is CCW: interior left of v0->v1
-        self._dfs((first,), 1, self.reflections[first], ([(bx, by)], [(ax, ay)]))
+        self._edge = (ax, ay, bx, by)
+        self._keep_gap = -self.tol + 1e-12 * self.scale
+        # identity copy is CCW: interior left of v0->v1, so b is a left
+        # endpoint, a a right one, and the edge direction their witness axis
+        n = math.hypot(bx - ax, by - ay)
+        ux, uy = (bx - ax) / n, (by - ay) / n
+        root = ([(bx, by)], [(ax, ay)], ux, uy, bx * ux + by * uy, ax * ux + ay * uy)
+        self._dfs((first,), 1, self.reflections[first], root)
 
     def diagonals(self, vi: int) -> None:
         """Walk the vertex-to-vertex chains that leave vertex `vi`."""
@@ -251,7 +269,6 @@ class _Enumerator:
         self._visit, self._narrow = self._try_vertex, self._narrow_cone
         px, py = self.polygon.vertices[vi].tolist()
         self._start, self._vi = (px, py), vi
-        self._s1 = (px, py, px, py)
         self._dfs((), None, Isometry.identity(), None)  # no mirror yet: every direction
 
     def _dfs(self, word, period, m, corridor):
@@ -264,15 +281,23 @@ class _Enumerator:
             return
         even = len(word) % 2 == 0  # m has parity (-1)^len(word)
         start = self._start
+        if start is not None:
+            px, py = start
         for j, child_period in _extensions(word, period, self.n_edges):
             p0, p1 = pts[2 * j], pts[2 * j + 1]
-            if seg_dist_pts(*self._s1, *p0, *p1) > self.lmax:
-                continue
-            if start is not None and (
-                math.hypot(p0[0] - start[0], p0[1] - start[1]) < self.tol
-                or math.hypot(p1[0] - start[0], p1[1] - start[1]) < self.tol
-            ):
-                continue  # mirror through the start vertex: no interior crossing
+            if start is None:
+                if seg_dist_pts(*self._edge, *p0, *p1) > self.lmax:
+                    continue
+            else:
+                # seg_dist_pts from the point P as a zero-length segment, bit
+                # for bit: its crossing test is skipped and its four distances
+                # reduce to these three
+                d0 = math.hypot(p0[0] - px, p0[1] - py)
+                d1 = math.hypot(p1[0] - px, p1[1] - py)
+                if min(pt_seg(px, py, *p0, *p1), d0, d1) > self.lmax:
+                    continue
+                if d0 < self.tol or d1 < self.tol:
+                    continue  # mirror through the start vertex: no interior crossing
             # crossing orientation flips with the copy's parity
             lp, rp = (p1, p0) if even else (p0, p1)
             child = self._narrow(corridor, lp, rp)
@@ -280,18 +305,54 @@ class _Enumerator:
                 continue  # no directed line threads all mirrors
             self._dfs(word + (j,), child_period, m.compose(self.reflections[j]), child)
 
-    def _narrow_hulls(self, hulls, lp, rp):
+    def _narrow_hulls(self, corridor, lp, rp):
         """The edge-start corridor past mirror lp-rp, or None if it closes.
 
         The corridor is the hull of the left mirror endpoints and the hull of
-        the right ones; some line threads every mirror while they separate.
+        the right ones; some line threads every mirror while they separate,
+        i.e. while hulls_separated(left, right, -tol) finds an axis. Beside
+        the hulls it carries a witness: a unit axis u, the least projection
+        on u of the left endpoints and the greatest of the right ones. Each
+        child is decided in turn by
+        - the witness: if the new endpoints keep the two sets apart along u
+          by more than -tol (plus a rounding margin), the test would find an
+          axis too, since over overlapping hulls it tries the axis of least
+          overlap and over disjoint ones a separating axis;
+        - a crossing certificate: the start edge's left endpoint b and right
+          endpoint a lie in every corridor, so if [lp, b] crosses [rp, r] for
+          a point r of the right hull, or [lp, l] crosses [rp, a] for a
+          point l of the left hull, deeper than 2 tol (crossing_depth), the
+          new hulls overlap by more than tol along every axis and the test
+          would find none;
+        - else the test itself, whose axis becomes the new witness.
+        Both fast paths thus decide as the test does, and a kept child builds
+        its hulls by the same calls, so the walk's nodes and records are the
+        test's.
         """
-        lhull, rhull = hulls
-        new_lhull = _hull_pts(lhull + [tuple(lp)])
-        new_rhull = _hull_pts(rhull + [tuple(rp)])
-        if not hulls_separated(new_lhull, new_rhull, -self.tol):
+        lhull, rhull, ux, uy, lo, hi = corridor
+        lx, ly = lp
+        rx, ry = rp
+        lo = min(lo, lx * ux + ly * uy)
+        hi = max(hi, rx * ux + ry * uy)
+        if lo - hi > self._keep_gap:
+            return _hull_pts(lhull + [(lx, ly)]), _hull_pts(rhull + [(rx, ry)]), ux, uy, lo, hi
+        ax, ay, bx, by = self._edge
+        deep = 2 * self.tol
+        for x, y in rhull:
+            if crossing_depth(lx, ly, bx, by, rx, ry, x, y) > deep:
+                return None
+        for x, y in lhull:
+            if crossing_depth(lx, ly, x, y, rx, ry, ax, ay) > deep:
+                return None
+        new_lhull = _hull_pts(lhull + [(lx, ly)])
+        new_rhull = _hull_pts(rhull + [(rx, ry)])
+        axis = hulls_separated(new_lhull, new_rhull, -self.tol)
+        if axis is None:
             return None
-        return new_lhull, new_rhull
+        ux, uy = axis
+        lo = min(x * ux + y * uy for x, y in new_lhull)
+        hi = max(x * ux + y * uy for x, y in new_rhull)
+        return new_lhull, new_rhull, ux, uy, lo, hi
 
     def _narrow_cone(self, cone, lp, rp):
         """The vertex-start corridor past mirror lp-rp, or None if it closes.
@@ -351,10 +412,10 @@ class _Enumerator:
                     diffractive=not (self._rational[vi] and self._rational[vj]),
                 )
 
-    def _try_close(self, word, period, m, hulls, pts):
+    def _try_close(self, word, period, m, corridor, pts):
         if len(word) < 2 or len(word) % period:
             return  # too short, or not a necklace: a rotation closes instead
-        lhull, rhull = hulls
+        lhull, rhull = corridor[:2]
         if len(word) % 2 == 0:
             self._close_band(word, m, lhull, rhull, len(word) // period)
         else:

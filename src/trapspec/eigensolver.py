@@ -317,8 +317,10 @@ def _slice_calls(K, M, n: int, area: float, perimeter: float, bc: str):
                 slope = (above - count) / step
             if not 0 < n - above < share / 4:
                 break
-            # move this bound past n rather than leave a small last slice
-            step += 2 * (n - above) / slope
+            # move this bound past n rather than leave a small last slice,
+            # aiming a little past the secant so that one push nearly always
+            # suffices without solving many values beyond n
+            step += 1.15 * (n - above + 1) / slope
         if above > count:
             yield _solve_slice, (K, M, lo, hi, above - count, v0)
             left -= 1

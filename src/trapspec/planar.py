@@ -1,11 +1,15 @@
 """Small planar geometry kit for billiard unfolding.
 
-Isometries compose edge reflections. The hull, separating-axis and
-segment-distance helpers work on plain (x, y) tuples and scalars, because
-the reflection-word search calls them at every node: the segment distance
-from every start, the hulls and separating axes only from an edge (closed
-orbits). From a vertex (generalized diagonals) the search tracks a cone of
-directions at the vertex instead.
+Isometries compose edge reflections. The hull, separating-axis, crossing
+and distance helpers work on plain (x, y) tuples and scalars, because the
+reflection-word search calls them at every node: the segment distance from
+an edge start and the point-segment distance from a vertex start; the
+hulls, the crossing depth and the separating-axis test only from an edge
+(closed orbits). There `hulls_separated` returns the separating axis it
+found, which the search keeps as a witness, and runs only for children
+that neither the witness nor `crossing_depth` decides. From a vertex
+(generalized diagonals) the search tracks a cone of directions at the
+vertex instead.
 """
 
 from __future__ import annotations
@@ -76,14 +80,22 @@ def _hull_pts(points):
     return lower[:-1] + upper[:-1]
 
 
-def hulls_separated(ha, hb, tol: float = 1e-12) -> bool:
+def hulls_separated(ha, hb, tol: float = 1e-12) -> tuple[float, float] | None:
     """Separating-axis test for two convex hull vertex lists of (x, y) tuples.
 
-    Degenerate (point/segment) hulls contribute their own direction axes so
-    collinear configurations separate correctly.
+    Returns a unit axis (x, y) along which every point of ha projects more
+    than tol beyond every point of hb, or None when no axis tried does. The
+    axes tried are the hull edge normals, so for overlapping hulls the axis
+    of least overlap over all directions is among them, and for disjoint
+    hulls a separating one is. Degenerate (point/segment) hulls contribute
+    their own direction axes so collinear configurations separate correctly.
     """
     if len(ha) == 1 and len(hb) == 1:
-        return math.hypot(ha[0][0] - hb[0][0], ha[0][1] - hb[0][1]) > tol
+        dx, dy = ha[0][0] - hb[0][0], ha[0][1] - hb[0][1]
+        d = math.hypot(dx, dy)
+        if d <= tol:
+            return None
+        return (dx / d, dy / d) if d else (1.0, 0.0)  # coincident: every axis ties at 0
     axes = []
     for h in (ha, hb):
         m = len(h)
@@ -112,21 +124,53 @@ def hulls_separated(ha, hb, tol: float = 1e-12) -> bool:
                 bmin = v
             elif v > bmax:
                 bmax = v
-        if amin > bmax + tol or bmin > amax + tol:
-            return True
-    return False
+        if amin > bmax + tol:
+            return (ax, ay)
+        if bmin > amax + tol:
+            return (-ax, -ay)
+    return None
+
+
+def crossing_depth(a0x, a0y, a1x, a1y, b0x, b0y, b1x, b1y) -> float:
+    """How deeply segments [a0, a1] and [b0, b1] cross, or 0 if they do not.
+
+    With crossing parameters s and t, directions d1 and d2 and the angle phi
+    between them, the depth is min(e1, e2) |sin phi|, where e1 = min(s, 1-s)
+    |d1| and e2 = min(t, 1-t) |d2| are how far each segment reaches past the
+    crossing point X both ways. Any convex sets that contain one segment
+    each then overlap by at least the depth along every unit direction u:
+    both projections contain X.u, one reaches e1 |cos(u, d1)| beyond it on
+    one side, the other e2 |cos(u, d2)| on the other, and |cos a| + |cos b|
+    >= |sin(a - b)|. Parallel and collinear segments and crossings at an
+    endpoint have depth 0.
+    """
+    d1x, d1y = a1x - a0x, a1y - a0y
+    d2x, d2y = b1x - b0x, b1y - b0y
+    denom = d1x * d2y - d1y * d2x
+    if denom == 0.0:
+        return 0.0
+    wx, wy = b0x - a0x, b0y - a0y
+    s = (wx * d2y - wy * d2x) / denom
+    t = (wx * d1y - wy * d1x) / denom
+    if not (0.0 < s < 1.0 and 0.0 < t < 1.0):
+        return 0.0
+    # |sin phi| = |denom| / (|d1| |d2|)
+    return abs(denom) * min(
+        min(s, 1.0 - s) / math.hypot(d2x, d2y), min(t, 1.0 - t) / math.hypot(d1x, d1y)
+    )
+
+
+def pt_seg(px, py, qx, qy, rx, ry) -> float:
+    """Distance from point p to segment [q, r]."""
+    dx, dy = rx - qx, ry - qy
+    dd = dx * dx + dy * dy
+    t = ((px - qx) * dx + (py - qy) * dy) / dd if dd > 1e-30 else 0.0
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    return math.hypot(px - qx - t * dx, py - qy - t * dy)
 
 
 def seg_dist_pts(a0x, a0y, a1x, a1y, b0x, b0y, b1x, b1y) -> float:
     """Scalar segment-to-segment distance (pure Python, for tight loops)."""
-
-    def pt_seg(px, py, qx, qy, rx, ry):
-        dx, dy = rx - qx, ry - qy
-        dd = dx * dx + dy * dy
-        t = ((px - qx) * dx + (py - qy) * dy) / dd if dd > 1e-30 else 0.0
-        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-        return math.hypot(px - qx - t * dx, py - qy - t * dy)
-
     d1x, d1y = a1x - a0x, a1y - a0y
     d2x, d2y = b1x - b0x, b1y - b0y
     denom = d1x * d2y - d1y * d2x

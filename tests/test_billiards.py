@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -25,10 +26,15 @@ from trapspec.geometry import (
     random_trapezoid,
     vertices,
 )
-from trapspec.planar import Isometry
+from trapspec.planar import Isometry, _hull_pts, hulls_separated
 from trapspec.properties import run_suite
 
 SQUARE = Polygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
+NEAR_RIGHT = vertices(new_trapezoid(B=2.0, h=1.0, alpha=math.radians(89.999), beta=math.pi / 3))
+
+
+def rectangle(width, height):
+    return Polygon(np.array([[0, 0], [width, 0], [width, height], [0, height]], dtype=float))
 
 
 def fagnano_trapezoid():
@@ -352,6 +358,101 @@ class TestNecklaceWalk:
             assert len(w) // admitted[w] == _repetitions(w)
 
 
+class TestEdgeCorridor:
+    """The edge-start corridor's witness axis and crossing certificate decide
+    each child as the separating-axis test on the child's hulls would."""
+
+    def test_fast_paths_agree_with_separating_axes(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        trapezoids = [
+            new_trapezoid(B=1.5, h=0.8, alpha=math.pi / 2, beta=math.pi / 4),
+            new_trapezoid(B=2.0, h=0.8, alpha=math.pi / 2, beta=math.pi / 3),
+            new_trapezoid(B=2.0, h=0.8, alpha=math.pi / 3, beta=math.pi / 3),
+        ] + [random_trapezoid(rng) for _ in range(20)]
+        corpus = [(rectangle(1.0, c), 4.0) for c in (1.0, 0.5, 1 / 3)]
+        corpus += [(NEAR_RIGHT, 8.0)]
+        corpus += [(vertices(t), 2 * vertices(t).diameter) for t in trapezoids]
+        paths = collections.Counter()
+        narrow = billiards._Enumerator._narrow_hulls
+
+        def separated(*args):
+            paths["separating-axis test"] += 1
+            return hulls_separated(*args)
+
+        def checked(walker, corridor, lp, rp):
+            tests = paths["separating-axis test"]
+            child = narrow(walker, corridor, lp, rp)
+            lhull, rhull = corridor[:2]
+            new_lhull, new_rhull = _hull_pts(lhull + [tuple(lp)]), _hull_pts(rhull + [tuple(rp)])
+            expected = hulls_separated(new_lhull, new_rhull, -walker.tol)
+            assert (child is None) == (expected is None)
+            if child is not None:
+                assert child[:2] == (new_lhull, new_rhull)
+            if paths["separating-axis test"] == tests:
+                paths["witness keep" if child else "certificate prune"] += 1
+            return child
+
+        monkeypatch.setattr(billiards, "hulls_separated", separated)
+        monkeypatch.setattr(billiards._Enumerator, "_narrow_hulls", checked)
+        for poly, lmax in corpus:
+            for k in range(len(poly.vertices)):
+                billiards._walk_start(poly, lmax, billiards.DEFAULT_PERIOD_MAX, 10**6, ("edge", k))
+        assert set(paths) == {"witness keep", "certificate prune", "separating-axis test"}
+
+    @pytest.mark.parametrize(
+        "lp,rp,pruned_by_certificate",
+        [
+            ((-1.0, 1.0), (2.0, 1.0), True),  # [lp, b] and [rp, a] cross deeply
+            ((-1.0, 2e-9), (0.0, 1.0), False),  # they cross 1e-9 from a
+            ((-1.0, 1.0), (0.0, 0.5), False),  # rp lies on [lp, b]
+            ((-1.0, 1.0), (2.0, -1.0), False),  # parallel
+            ((-1.0, 0.0), (2.0, 0.0), False),  # collinear with the start edge
+        ],
+        ids=["deep", "shallow", "endpoint", "parallel", "collinear"],
+    )
+    def test_crossing_certificate(self, lp, rp, pruned_by_certificate, monkeypatch):
+        # the square's edge 0 runs from a = (0, 0) to b = (1, 0); no child
+        # here keeps b ahead of a along it, so the witness decides none
+        walker, root = self._square_edge_walker(monkeypatch)
+        tests = []
+        monkeypatch.setattr(billiards, "hulls_separated", lambda *args: tests.append(args))
+        child = walker._narrow_hulls(root, lp, rp)
+        if pruned_by_certificate:
+            assert child is None and not tests
+        else:
+            assert len(tests) == 1
+
+    @pytest.mark.parametrize("overlap,kept", [(0.5, True), (1.5, False)])
+    def test_witness_keeps_within_tolerance(self, overlap, kept, monkeypatch):
+        # a left box [1 - d, 2] x [0, 1] and a right box [0, 1] x [0, 1]
+        # overlap least along the witness axis x, by d: the separating-axis
+        # test keeps them while d < tol
+        walker, _ = self._square_edge_walker(monkeypatch)
+        d = overlap * walker.tol
+        lhull = [(1 - d, 0.0), (2.0, 0.0), (2.0, 1.0)]
+        rhull = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
+        corridor = (lhull, rhull, 1.0, 0.0, 1 - d, 1.0)  # witness axis x
+        tests = []
+
+        def separated(*args):
+            tests.append(args)
+            return hulls_separated(*args)
+
+        monkeypatch.setattr(billiards, "hulls_separated", separated)
+        child = walker._narrow_hulls(corridor, (1 - d, 1.0), (0.0, 1.0))
+        assert (child is not None) == kept
+        assert not tests if kept else len(tests) == 1
+
+    @staticmethod
+    def _square_edge_walker(monkeypatch):
+        """An edge-0 walker on the square, stopped before its root node, and the root corridor."""
+        walker = billiards._Enumerator(SQUARE, 3.0, 4, 10**6)
+        roots = []
+        monkeypatch.setattr(walker, "_dfs", lambda word, period, m, corridor: roots.append(corridor))
+        walker.run(0)
+        return walker, roots[0]
+
+
 class TestTrapezoidPropositions:
     def test_shortest_is_2h_or_2b(self):
         assert run_suite("shortest-orbit") == []
@@ -503,8 +604,10 @@ class TestPlumbing:
                 [218, 59, 200, 229],
                 [375, 10, 3, 1],
             ),
+            (NEAR_RIGHT, 10.0, [220, 160, 323, 246], [512, 8, 2, 1]),
+            (rectangle(1.0, 1 / 3), 3.0, [1091] * 4, [1621, 25, 3, 1]),
         ],
-        ids=["square", "readme_trapezoid", "pi2_pi4"],
+        ids=["square", "readme_trapezoid", "pi2_pi4", "near_right", "rectangle_1_3"],
     )
     def test_start_node_counts(self, poly, lmax, vertex_nodes, edge_nodes):
         # where the summed counts pass the budget decides what

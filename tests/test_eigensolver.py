@@ -287,7 +287,7 @@ class TestInertiaSlicing:
         n = 800
         lowest_eigenvalues(K, M, n, poly.area, poly.perimeter, DIRICHLET)
         assert len(wants) == math.ceil(n / _SLICE_SIZE)
-        assert n <= sum(wants) <= n + _SLICE_SIZE / 10
+        assert n <= sum(wants) <= n + 8
 
 
 class TestLevelRun:

@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trapspec
-from trapspec import workers
+from trapspec import billiards, workers
+from trapspec.geometry import Polygon
 
 SRC = str(Path(trapspec.__file__).resolve().parent.parent)
 
@@ -54,3 +56,20 @@ def test_fresh_worker_loads_only_what_a_call_needs():
     finally:
         pool.close()
     assert loaded == [[]]
+
+
+def test_billiard_walk_worker_loads_no_scipy():
+    # scipy would add its import time to every worker start of a pooled
+    # length_spectrum
+    square = Polygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
+    pool = workers.WorkerPool(1)
+    try:
+        _, loaded = pool.run(
+            [
+                (billiards._walk_start, (square, 3.0, 8, 10**6, ("edge", 0))),
+                (eval, ("sorted(m for m in __import__('sys').modules if m.split('.')[0] == 'scipy')",)),
+            ]
+        )
+    finally:
+        pool.close()
+    assert loaded == []

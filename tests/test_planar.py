@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trapspec.planar import _hull_pts, hulls_separated, seg_dist_pts
+from trapspec.planar import _hull_pts, crossing_depth, hulls_separated, seg_dist_pts
 
 
 class TestHullPts:
@@ -48,6 +48,47 @@ class TestHullsSeparated:
         tri = _hull_pts([(0, 0), (1, 0), (0, 1)])
         assert hulls_separated(tri, _hull_pts([(1, 1), (2, 1), (1, 2)]))
         assert not hulls_separated(tri, _hull_pts([(0.2, 0.2), (2, 0.2), (0.2, 2)]))
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_axis_puts_first_hull_beyond_second(self, swap):
+        tri = _hull_pts([(0, 0), (1, 0), (0, 1)])
+        far = _hull_pts([(1, 1), (2, 1), (1, 2)])
+        ha, hb = (far, tri) if swap else (tri, far)
+        ux, uy = hulls_separated(ha, hb)
+        assert math.hypot(ux, uy) == pytest.approx(1.0)
+        assert min(x * ux + y * uy for x, y in ha) > max(x * ux + y * uy for x, y in hb)
+
+    def test_point_axis_points_away_from_second(self):
+        assert hulls_separated([(1.0, 2.5)], [(1.0, 2.0)]) == (0.0, 1.0)
+        assert hulls_separated([(1.0, 2.0)], [(1.0, 2.0)], tol=-1e-9) is not None
+
+
+class TestCrossingDepth:
+    def test_deep_crossings(self):
+        assert crossing_depth(0, 0, 2, 0, 1, -1, 1, 1) == pytest.approx(1.0)
+        # crossing at (1, 0), halfway along both; sin phi = 1/sqrt(2)
+        assert crossing_depth(0, 0, 2, 0, 0, -1, 2, 1) == pytest.approx(math.sqrt(0.5))
+        # a quarter of the way along both: each reaches |d|/4 past the crossing
+        assert crossing_depth(0, 0, 4, 0, 1, -1, 1, 3) == pytest.approx(1.0)
+
+    def test_shallow_crossing(self):
+        # 1e-9 from the end of the second segment
+        assert crossing_depth(-1, 2e-9, 1, 0, 0, 1, 0, 0) == pytest.approx(1e-9, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            (0, 0, 2, 0, 1, 0, 1, 1),  # T-junction: the crossing is an endpoint
+            (0, 0, 2, 0, 2, 0, 3, 1),  # shared endpoint
+            (0, 0, 1, 0, 0, 1, 1, 1),  # parallel
+            (0, 0, 2, 0, 1, 0, 3, 0),  # collinear and overlapping
+            (0, 0, 1, 0, 2, -1, 2, 1),  # apart
+            (0, 0, 0, 0, 1, -1, 1, 1),  # a point
+        ],
+        ids=["t_junction", "shared_endpoint", "parallel", "collinear", "apart", "point"],
+    )
+    def test_no_crossing_has_depth_zero(self, segments):
+        assert crossing_depth(*segments) == 0.0
 
 
 def _sampled_distance(a0, a1, b0, b1, n=401):
