@@ -218,12 +218,14 @@ def _restrict_dirichlet(K, M, boundary_mask):
 
 
 def _weyl_lambda(j: float, area: float, perimeter: float, bc: str) -> float:
-    """Two-term Weyl estimate for the j-th eigenvalue."""
-    sgn = 1.0 if bc == DIRICHLET else -1.0
-    lam = 4 * math.pi * max(j, 1.0) / area
-    for _ in range(8):
-        lam = (4 * math.pi / area) * (max(j, 1.0) + sgn * perimeter * math.sqrt(max(lam, 0)) / (4 * math.pi))
-    return lam
+    """Two-term Weyl estimate for the j-th eigenvalue.
+
+    The positive root of lam = (4 pi / A)(max(j, 1) +- L sqrt(lam) / (4 pi)),
+    a quadratic in sqrt(lam); plus for Dirichlet, minus for Neumann.
+    """
+    r = perimeter / area if bc == DIRICHLET else -perimeter / area
+    x = 0.5 * (r + math.sqrt(r * r + 16 * math.pi * max(j, 1.0) / area))
+    return x * x
 
 
 def _factor(K: sp.spmatrix, M: sp.spmatrix, s: float):
@@ -393,19 +395,16 @@ def compute_spectrum(
     Richardson-extrapolated from the two finest levels (lam_f + (lam_f -
     lam_c)/3 for an exact mesh halving); the per-eigenvalue accuracy field is
     the relative size of that correction. Levels too coarse to represent n
-    modes are dropped automatically.
+    modes are dropped automatically, and only the two finest usable levels
+    are assembled and solved.
     """
-    per_level = level_eigenvalues(polygon, bc, n, mesh_size, refine_levels)
-    fine = per_level[-1]
-    if len(per_level) >= 2:
-        coarse = per_level[-2]
-        extrap = fine + (fine - coarse) / 3.0
-        denom = np.maximum(np.abs(fine), 1e-30)
-        acc = np.abs(extrap - fine) / denom
-        ev = extrap
+    meshes = _usable_meshes(polygon, bc, n, mesh_size, refine_levels)
+    *coarse, fine = _solve_meshes(meshes[-2:], polygon, bc, n)
+    if coarse:
+        ev = fine + (fine - coarse[0]) / 3.0
+        acc = np.abs(ev - fine) / np.maximum(np.abs(fine), 1e-30)
     else:
-        ev = fine
-        acc = np.full(n, np.nan)
+        ev, acc = fine, np.full(n, np.nan)
 
     if bc == NEUMANN:
         ev = ev.copy()
@@ -430,14 +429,26 @@ def level_eigenvalues(
 ) -> list[np.ndarray]:
     """Raw eigenvalues of each usable refinement level, coarsest first.
 
-    Triangulates at mesh_size * 2**(refine_levels - 1), refines uniformly
-    down to mesh_size (default: a shortest-edge / 8 element), then assembles
-    and restricts every level. Levels with too few degrees of freedom to
-    represent n modes are skipped; MeshError when none is left. mesh_size
-    must be positive and finite, and the coarsest element no longer than the
-    shortest edge, else MeshError before any meshing. The usable levels'
-    spectrum slices are all solved in one `workers` run, the finest level's
-    first, since its slices take longest (`_solve_levels`).
+    The levels are those of `_usable_meshes`, solved in one `workers` run.
+    """
+    return _solve_meshes(_usable_meshes(polygon, bc, n, mesh_size, refine_levels), polygon, bc, n)
+
+
+def _usable_meshes(
+    polygon: Polygon,
+    bc: str,
+    n: int,
+    mesh_size: float | None,
+    refine_levels: int,
+) -> list[Mesh]:
+    """The refinement ladder's meshes with enough degrees of freedom, coarsest first.
+
+    Triangulates at mesh_size * 2**(refine_levels - 1) and refines uniformly
+    down to mesh_size (default: a shortest-edge / 8 element). Levels with too
+    few degrees of freedom (interior nodes for Dirichlet, all nodes for
+    Neumann) to represent n modes are skipped; MeshError when none is left.
+    mesh_size must be positive and finite, and the coarsest element no
+    longer than the shortest edge, else MeshError before any meshing.
     """
     if not polygon.is_convex():
         raise DomainError("polygon must be convex")
@@ -462,22 +473,21 @@ def level_eigenvalues(
             f" than the shortest edge {shortest:.6g}"
         )
 
-    coarse_h = mesh_size * 2 ** (refine_levels - 1)
-    mesh = triangulate(polygon, coarse_h)
-    meshes = [mesh]
+    meshes = [triangulate(polygon, mesh_size * 2 ** (refine_levels - 1))]
     for _ in range(refine_levels - 1):
-        mesh = refine_uniform(mesh, polygon)
-        meshes.append(mesh)
-
-    systems = []
-    for m in meshes:
-        K, M = assemble_p1(m)
-        if bc == DIRICHLET:
-            K, M = _restrict_dirichlet(K, M, m.boundary_mask)
-        else:
-            K, M = K.tocsc(), M.tocsc()
-        if K.shape[0] >= int(1.25 * n) + 5:  # else too coarse to represent n modes
-            systems.append((K, M))
-    if not systems:
+        meshes.append(refine_uniform(meshes[-1]))
+    dofs = [m.n_nodes if bc == NEUMANN else int(np.count_nonzero(~m.boundary_mask)) for m in meshes]
+    usable = [m for m, d in zip(meshes, dofs) if d >= int(1.25 * n) + 5]
+    if not usable:
         raise MeshError("no refinement level had enough degrees of freedom")
+    return usable
+
+
+def _solve_meshes(meshes: list[Mesh], polygon: Polygon, bc: str, n: int) -> list[np.ndarray]:
+    """Lowest n eigenvalues on each mesh (Dirichlet: interior nodes only), in one run."""
+    systems = [assemble_p1(m) for m in meshes]
+    if bc == DIRICHLET:
+        systems = [_restrict_dirichlet(K, M, m.boundary_mask) for (K, M), m in zip(systems, meshes)]
+    else:
+        systems = [(K.tocsc(), M.tocsc()) for K, M in systems]
     return _solve_levels(systems, n, polygon.area, polygon.perimeter, bc)

@@ -79,15 +79,17 @@ def triangulate(polygon: Polygon, target_h: float) -> Mesh:
     triangles = tri.simplices.copy()
     nodes = tri.points.copy()
 
-    areas = _tri_areas(nodes, triangles)
-    scale2 = polygon.diameter**2
-    keep = areas > 1e-13 * scale2
+    p = nodes[triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])  # signed
+    keep = np.abs(areas) > 1e-13 * polygon.diameter**2
     triangles = triangles[keep]
     # enforce counterclockwise element orientation
-    flip = _tri_signed_areas(nodes, triangles) < 0
+    flip = areas[keep] < 0
     triangles[flip] = triangles[flip][:, ::-1]
 
-    boundary_mask = _boundary_distance(nodes, polygon) < 1e-9 * polygon.diameter
+    # Delaunay keeps input order, so the boundary points come first
+    boundary_mask = np.arange(len(nodes)) < len(bpts)
     mesh = Mesh(
         nodes=nodes,
         triangles=triangles,
@@ -106,17 +108,6 @@ def _points_inside(points: np.ndarray, polygon: Polygon) -> np.ndarray:
     ap = points[:, None, :] - a[None, :, :]
     cr = ab[None, :, 0] * ap[:, :, 1] - ab[None, :, 1] * ap[:, :, 0]
     return np.all(cr >= 0.0, axis=1)
-
-
-def _tri_signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p = nodes[triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-
-def _tri_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    return np.abs(_tri_signed_areas(nodes, triangles))
 
 
 def _max_edge(nodes: np.ndarray, triangles: np.ndarray) -> float:
@@ -141,33 +132,30 @@ def _check_quality(mesh: Mesh) -> None:
             )
 
 
-def refine_uniform(mesh: Mesh, polygon: Polygon) -> Mesh:
-    """Quadrisect every triangle; boundary mask is recomputed geometrically."""
-    nodes = mesh.nodes
-    tris = mesh.triangles
-    edge_mid: dict[tuple[int, int], int] = {}
-    new_nodes = [nodes]
-    next_idx = len(nodes)
+def refine_uniform(mesh: Mesh) -> Mesh:
+    """Quadrisect every triangle through its edge midpoints.
 
-    def midpoint(i, j):
-        nonlocal next_idx
-        key = (i, j) if i < j else (j, i)
-        if key not in edge_mid:
-            edge_mid[key] = next_idx
-            new_nodes.append(((nodes[i] + nodes[j]) / 2.0)[None, :])
-            next_idx += 1
-        return edge_mid[key]
+    Midpoints are numbered in order of first use, triangle by triangle and
+    edges ab, bc, ca within each; a midpoint lies on the boundary exactly
+    when its edge borders one triangle.
+    """
+    nodes, tris = mesh.nodes, mesh.triangles
+    ends = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)  # ab, bc, ca of each triangle
+    lo, hi = ends.min(axis=1).astype(np.int64), ends.max(axis=1)
+    _, first, inverse, counts = np.unique(
+        lo * len(nodes) + hi, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)  # the table's edges in order of first use
+    number = np.empty_like(order)
+    number[order] = np.arange(len(nodes), len(nodes) + len(order))
+    ab, bc, ca = number[inverse].astype(tris.dtype).reshape(-1, 3).T
+    a, b, c = tris.T
+    new_tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
 
-    new_tris = np.empty((4 * len(tris), 3), dtype=tris.dtype)
-    for k, (a, b, c) in enumerate(tris):
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        new_tris[4 * k : 4 * k + 4] = [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-
-    all_nodes = np.vstack(new_nodes)
-    boundary_mask = _boundary_distance(all_nodes, polygon) < 1e-9 * polygon.diameter
+    used = ends[first[order]]
     return Mesh(
-        nodes=all_nodes,
+        nodes=np.vstack([nodes, (nodes[used[:, 0]] + nodes[used[:, 1]]) / 2.0]),
         triangles=new_tris,
-        boundary_mask=boundary_mask,
+        boundary_mask=np.concatenate([mesh.boundary_mask, counts[order] == 1]),
         h=mesh.h / 2.0,
     )

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from .billiards import enumerate_orbits, length_spectrum, shortest_orbit
+from .errors import DomainError
 from .geometry import (
     Q_RECTANGLE,
     angle_invariant,
@@ -53,7 +54,7 @@ def angle_invariant_suite(n: int = 1000, seed: int = 0) -> list[str]:
         h_cap = B * math.sin(beta) * math.cos(beta)  # Fagnano existence bound
         try:
             t = new_trapezoid(B=B, h=0.9 * h_cap, alpha=alpha, beta=beta)
-        except Exception:
+        except DomainError:
             continue
         cat = orbit_catalog(t)
         if not cat.two_h < cat.two_h_alpha.length:

@@ -275,7 +275,7 @@ class TestInertiaSlicing:
         poly = vertices(flagship_trapezoid)
         mesh = triangulate(poly, 0.024)
         for _ in range(levels - 1):
-            mesh = refine_uniform(mesh, poly)
+            mesh = refine_uniform(mesh)
         K, M = _restrict_dirichlet(*assemble_p1(mesh), mesh.boundary_mask)
         wants = []
 
@@ -317,6 +317,46 @@ class TestLevelRun:
         for ev, (K, M) in zip(out, reversed(systems.values())):
             alone = lowest_eigenvalues(K, M, n, UNIT_SQUARE.area, UNIT_SQUARE.perimeter, DIRICHLET)
             assert np.array_equal(ev, alone)
+
+
+    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+    def test_compute_spectrum_solves_two_finest_levels(self, bc, monkeypatch, slices_in_process):
+        size, n = 12, 30
+        monkeypatch.setattr(eigensolver, "_SLICE_SIZE", size)
+        calls = []
+        solve = eigensolver._solve_slice
+
+        def recorded(*args):
+            calls.append(args[0].shape[0])
+            return solve(*args)
+
+        monkeypatch.setattr(eigensolver, "_solve_slice", recorded)
+        s = compute_spectrum(UNIT_SQUARE, bc, n, 1 / 32, 3)
+        solved = sorted(set(calls))
+        calls.clear()
+        coarse, fine = level_eigenvalues(UNIT_SQUARE, bc, n, 1 / 32, 3)[-2:]
+        assert solved == sorted(set(calls))[-2:]  # the coarsest level is not solved
+        extrap = fine + (fine - coarse) / 3.0
+        acc = np.abs(extrap - fine) / np.maximum(np.abs(fine), 1e-30)
+        if bc == NEUMANN:  # the zero mode's rounding is clamped to 0
+            extrap[0] = max(extrap[0], 0.0)
+        order = np.argsort(extrap, kind="stable")
+        assert np.array_equal(s.eigenvalues, extrap[order])
+        assert np.array_equal(s.accuracy, acc[order])
+
+
+class TestWeylBound:
+    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+    @pytest.mark.parametrize("shape", ["square", "flagship"])
+    def test_root_of_two_term_weyl(self, shape, bc, flagship_trapezoid):
+        poly = UNIT_SQUARE if shape == "square" else vertices(flagship_trapezoid)
+        area, perimeter = poly.area, poly.perimeter
+        sgn = 1.0 if bc == DIRICHLET else -1.0
+        for j in (0.0, 0.5, 1.0, 2.0, 7.3, 158.0, 1000.0, 5000.0):
+            lam = eigensolver._weyl_lambda(j, area, perimeter, bc)
+            rhs = (4 * math.pi / area) * (max(j, 1.0) + sgn * perimeter * math.sqrt(lam) / (4 * math.pi))
+            assert lam > 0
+            assert abs(lam - rhs) <= 1e-12 * lam, j
 
 
 # 961 interior nodes; n = 300 needs two slices of at most _SLICE_SIZE eigenvalues
@@ -448,7 +488,7 @@ class TestWorkerPool:
 class TestMesh:
     def test_refinement_quadruples_triangles(self):
         m = triangulate(UNIT_SQUARE, 0.25)
-        m2 = refine_uniform(m, UNIT_SQUARE)
+        m2 = refine_uniform(m)
         assert len(m2.triangles) == 4 * len(m.triangles)
         assert m2.h == pytest.approx(m.h / 2)
 
