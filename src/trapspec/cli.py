@@ -146,7 +146,7 @@ def _cmd_wavetrace(args) -> int:
         "config": _config_of(args),
     }
     _write(json.dumps(out, indent=2), args.out)
-    if args.probe_t0 is not None and args.probe_out is not None:
+    if args.probe_t0 is not None:
         profile = probe(spec, args.probe_t0, sigma, order_frequencies(spec))
         Path(args.probe_out).write_text(profile.to_csv())
     return 0
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for lo, hi in (("t_min", "t_max"), ("fit_t_min", "fit_t_max")):
+    for lo, hi in (("t_min", "t_max"), ("fit_t_min", "fit_t_max"), ("probe_t0", "probe_out")):
         if (getattr(args, lo, None) is None) != (getattr(args, hi, None) is None):
             flags = " and ".join("--" + k.replace("_", "-") for k in (lo, hi))
             parser.error(f"{flags} must be given together")

@@ -9,6 +9,17 @@ closed-form frequency profile
 which grows like k^a when t0 is a singularity of order a. Orders separate
 orbit classes: +1/2 for bands, 0 for isolated odd-period orbits, negative
 for diffractive lengths.
+
+Both sums are evaluated from factored phases, each a product of at most two
+directly evaluated exponentials, so the rounding error does not grow with
+the grid length. A profile over T uniform times splits each time index into
+a block of about sqrt(T) steps and an offset within it: about 2 sqrt(T) N
+complex exponentials and one small complex matrix product instead of T N
+exponentials. A profile over K frequencies uses
+exp(i (mu - k) t0) = exp(i mu t0) exp(-i k t0): N + K complex exponentials
+and one real K x N Gaussian matrix. Both agree with the direct sums within
+1e-12 of the profile's maximum, the size of either evaluation's own
+rounding error where the sum cancels.
 """
 
 from __future__ import annotations
@@ -74,12 +85,15 @@ def probe(spectrum: Spectrum, t0: float, sigma: float, k_list) -> SingularityPro
     if not (0 < sigma < math.inf and 0 < t0 < math.inf):
         raise DomainError("sigma and t0 must be positive and finite")
     ks = np.atleast_1d(np.asarray(k_list, dtype=float))
+    if not np.all(np.isfinite(ks)):
+        raise DomainError("every k must be finite")
     mu = np.sqrt(spectrum.eigenvalues)
-    diff = mu[None, :] - ks[:, None]
+    gauss = np.exp(-0.5 * sigma**2 * (mu[None, :] - ks[:, None]) ** 2)
     vals = (
         sigma
         * math.sqrt(2 * math.pi)
-        * np.sum(np.exp(1j * diff * t0 - 0.5 * sigma**2 * diff**2), axis=1)
+        * np.exp(-1j * ks * t0)
+        * (gauss @ np.exp(1j * mu * t0))
     )
     return SingularityProbe(t0=t0, sigma=sigma, k=ks, values=vals)
 
@@ -96,12 +110,24 @@ def _background(amplitudes: np.ndarray) -> float:
     return max(float(np.quantile(vals, 0.25)), float(vals.max()) / 1000.0)
 
 
-def _abs_i_on_grid(spectrum: Spectrum, ts: np.ndarray, sigma: float, k_ref: float):
+def _abs_i_on_grid(
+    spectrum: Spectrum, t_lo: float, step: float, count: int, sigma: float, k_ref: float
+):
+    """|I(k_ref)| at the times t_lo + k * step, k < count.
+
+    Each index is split as k = a * b + j with b = isqrt(count), so
+    exp(i t_k d) = exp(i (t_lo + a b step) d) * exp(i j step d) and the
+    profile is one (nb x N) @ (N x b) product of directly evaluated phases.
+    """
     mu = np.sqrt(spectrum.eigenvalues)
     d = mu - k_ref
     gauss = np.exp(-0.5 * sigma**2 * d**2)
-    phases = np.exp(1j * np.outer(ts, d))
-    return sigma * math.sqrt(2 * math.pi) * np.abs(phases @ gauss)
+    b = math.isqrt(count)
+    nb = -(-count // b)
+    outer = gauss * np.exp(1j * np.outer(t_lo + b * np.arange(nb) * step, d))
+    inner = np.exp(1j * np.outer(np.arange(b) * step, d))
+    sums = (outer @ inner.T).ravel()[:count]
+    return sigma * math.sqrt(2 * math.pi) * np.abs(sums)
 
 
 def scan_peaks(
@@ -119,12 +145,14 @@ def scan_peaks(
         raise DomainError("t_range must be positive and increasing")
     if not 0 < sigma < math.inf:
         raise DomainError("sigma must be positive and finite")
+    if not 0 <= threshold < math.inf:
+        raise DomainError("threshold must be finite and non-negative")
     if spectrum.count == 0:
         return []
     k_ref = 0.5 * math.sqrt(spectrum.eigenvalues[-1])
     step = sigma / 4.0
     ts = np.arange(t_lo, t_hi + step / 2, step)
-    amp = _abs_i_on_grid(spectrum, ts, sigma, k_ref)
+    amp = _abs_i_on_grid(spectrum, t_lo, step, len(ts), sigma, k_ref)
     floor = threshold * _background(amp)
     out = []
     for i in range(1, len(ts) - 1):
@@ -149,8 +177,7 @@ def estimate_order(spectrum: Spectrum, t0: float, sigma: float) -> tuple[float, 
     lo, hi = float(ks[0]), float(ks[-1])
     amp = np.abs(probe(spectrum, t0, sigma, ks).values)
     k_mid = math.sqrt(lo * hi)
-    t_bg = np.linspace(0.5 * t0, 1.5 * t0, 81)
-    off = _background(_abs_i_on_grid(spectrum, t_bg, sigma, k_mid))
+    off = _background(_abs_i_on_grid(spectrum, 0.5 * t0, t0 / 80, 81, sigma, k_mid))
     if np.all(amp < 10 * off):
         raise NoiseFloor(
             f"|I| below 10x the off-peak background throughout {(lo, hi)}"

@@ -101,15 +101,18 @@ class TestSpectrumCommand:
             ["invariants", "{csv}", "--t-max", "0.04"],
             ["reconstruct", "{csv}", "--fit-t-min", "0.01"],
             ["reconstruct", "{csv}", "--fit-t-max", "0.04"],
+            ["wavetrace", "{csv}", "--t-lo", "1.5", "--t-hi", "4.5", "--probe-t0", "2.0"],
+            ["wavetrace", "{csv}", "--t-lo", "1.5", "--t-hi", "4.5", "--probe-out", "{probe}"],
         ],
-        ids=["t-min", "t-max", "fit-t-min", "fit-t-max"],
+        ids=["t-min", "t-max", "fit-t-min", "fit-t-max", "probe-t0", "probe-out"],
     )
     def test_half_window_is_usage_error(self, argv, square_spectrum_csv, tmp_path):
-        out = tmp_path / "out"
+        out, side = tmp_path / "out", tmp_path / "probe.csv"
         with pytest.raises(SystemExit) as exc:
-            main([a.format(csv=square_spectrum_csv) for a in argv] + ["--out", str(out)])
+            main([a.format(csv=square_spectrum_csv, probe=side) for a in argv] + ["--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
+        assert not side.exists()
 
     def test_exact_requires_rectangle(self, trap_json, tmp_path, capsys):
         out = tmp_path / "spec.csv"
@@ -184,6 +187,8 @@ class TestMalformedInput:
              "DomainError"),
             (["wavetrace", "{square_csv}", "--t-lo", "1.5", "--t-hi", "4.5", "--sigma", "nan"],
              "DomainError"),
+            (["wavetrace", "{square_csv}", "--t-lo", "1.5", "--t-hi", "4.5", "--threshold", "nan"],
+             "DomainError"),
             (["reconstruct", "{trapezoid_csv}", "--sigma", "0"], "DomainError"),
             (["spectrum", "{nan_side}", "--exact", "--n", "10"], "ValueError"),
             (["spectrum", "{null_side}", "--exact", "--n", "10"], "ValueError"),
@@ -197,6 +202,7 @@ class TestMalformedInput:
              "invariants-unknown-bc-tag",
              "invariants-header-only", "invariants-no-domain-field", "wavetrace-header-only",
              "wavetrace-sigma-0", "wavetrace-sigma-negative", "wavetrace-sigma-nan",
+             "wavetrace-threshold-nan",
              "reconstruct-sigma-0", "spectrum-nan-side", "spectrum-null-side",
              "orbits-null-angle", "orbits-null-vertex", "orbits-lmax-inf",
              "orbits-lmax-nan"],

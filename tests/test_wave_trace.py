@@ -1,24 +1,130 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from trapspec import wave_trace
 from trapspec.eigensolver import DIRICHLET, Spectrum, exact_rectangle_spectrum
-from trapspec.errors import DomainError, NoiseFloor
+from trapspec.errors import DomainError, NoiseFloor, TrapspecError
+from trapspec.geometry import Trapezoid
+from trapspec.heat_trace import fit_invariants
+from trapspec.inverse import SCAN_T_START, ReconstructConfig, scan_and_reconstruct
 from trapspec.wave_trace import (
     SingularityCandidate,
+    SingularityProbe,
     classify_candidate,
     estimate_order,
+    order_frequencies,
     probe,
     scan_peaks,
 )
 
 SIGMA = 0.15
+STORED = sorted(
+    p for p in (Path(__file__).parents[1] / "perfbench" / "data").glob("*.json")
+    if p.name != "manifest.json"
+)
 
 
 @pytest.fixture(scope="module")
 def square5000():
     return exact_rectangle_spectrum(1, 1, 5000)
+
+
+def _stored_spectrum(path):
+    d = json.loads(path.read_text())
+    return Spectrum(np.array(d["eigenvalues"]), DIRICHLET, accuracy=np.array(d["accuracy"]))
+
+
+def _reference_abs_i_on_grid(spectrum, t_lo, step, count, sigma, k_ref):
+    """|I(k_ref)| as one direct T x N sum of complex exponentials."""
+    ts = t_lo + step * np.arange(count)
+    d = np.sqrt(spectrum.eigenvalues) - k_ref
+    gauss = np.exp(-0.5 * sigma**2 * d**2)
+    return sigma * math.sqrt(2 * math.pi) * np.abs(np.exp(1j * np.outer(ts, d)) @ gauss)
+
+
+def _reference_probe(spectrum, t0, sigma, k_list):
+    """I(k) as one direct K x N sum of complex exponentials."""
+    ks = np.atleast_1d(np.asarray(k_list, dtype=float))
+    diff = np.sqrt(spectrum.eigenvalues)[None, :] - ks[:, None]
+    vals = (
+        sigma
+        * math.sqrt(2 * math.pi)
+        * np.sum(np.exp(1j * diff * t0 - 0.5 * sigma**2 * diff**2), axis=1)
+    )
+    return SingularityProbe(t0=t0, sigma=sigma, k=ks, values=vals)
+
+
+class TestFactoredKernels:
+    """The factored-phase kernels against the direct sums they replace."""
+
+    @staticmethod
+    def _close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def _check_grid(self, spectrum, t_lo, step, count, k_ref):
+        self._close(
+            wave_trace._abs_i_on_grid(spectrum, t_lo, step, count, SIGMA, k_ref),
+            _reference_abs_i_on_grid(spectrum, t_lo, step, count, SIGMA, k_ref),
+        )
+
+    @pytest.mark.parametrize("path", [None] + STORED, ids=["square"] + [p.stem for p in STORED])
+    def test_against_direct_sums(self, path, square5000):
+        spectrum = square5000 if path is None else _stored_spectrum(path)
+        k_ref = 0.5 * math.sqrt(spectrum.eigenvalues[-1])
+        step = SIGMA / 4
+        L = fit_invariants(spectrum, t_window=ReconstructConfig().fit_t_window).perimeter
+        peaks = []
+        # scan_peaks' grids: the pipeline's (SCAN_T_START, L) and the README's
+        for t_lo, t_hi in ((SCAN_T_START, L), (1.5, 4.5)):
+            count = len(np.arange(t_lo, t_hi + step / 2, step))
+            self._check_grid(spectrum, t_lo, step, count, k_ref)
+            peaks += scan_peaks(spectrum, (t_lo, t_hi), SIGMA)
+        assert peaks
+        # estimate_order's probe and background grid at every candidate
+        ks = order_frequencies(spectrum)
+        k_mid = math.sqrt(ks[0] * ks[-1])
+        for c in peaks:
+            self._close(
+                probe(spectrum, c.t0, SIGMA, ks).values,
+                _reference_probe(spectrum, c.t0, SIGMA, ks).values,
+            )
+            self._check_grid(spectrum, 0.5 * c.t0, c.t0 / 80, 81, k_mid)
+        # counts whose blocked reshape is trimmed or degenerate, from a peak
+        for count in (1, 2, 3, 127):
+            self._check_grid(spectrum, peaks[0].t0, step, count, k_ref)
+
+    @pytest.mark.parametrize("path", STORED, ids=[p.stem for p in STORED])
+    def test_reconstruction_unchanged(self, path, monkeypatch):
+        spectrum = _stored_spectrum(path)
+
+        def outcome():
+            try:
+                return scan_and_reconstruct(spectrum)
+            except TrapspecError as exc:
+                return type(exc)
+
+        new = outcome()
+        monkeypatch.setattr(wave_trace, "_abs_i_on_grid", _reference_abs_i_on_grid)
+        monkeypatch.setattr(wave_trace, "probe", _reference_probe)
+        ref = outcome()
+        if isinstance(ref, type):
+            assert new is ref
+            return
+        assert (new.branch, new.ambiguous) == (ref.branch, ref.ambiguous)
+        assert len(new.evidence) == len(ref.evidence)
+        assert len(new.alternatives) == len(ref.alternatives)
+        shapes = [(new.trapezoid, ref.trapezoid)]
+        shapes += [(a[1], b[1]) for a, b in zip(new.alternatives, ref.alternatives)]
+        for got, want in shapes:
+            assert type(got) is type(want)
+            fields = ("B", "h", "alpha", "beta") if isinstance(want, Trapezoid) else ("a", "c")
+            for f in fields:
+                assert getattr(got, f) == pytest.approx(getattr(want, f), rel=1e-9, abs=0)
 
 
 class TestProbe:
@@ -62,6 +168,11 @@ class TestProbe:
         with pytest.raises(DomainError):
             probe(exact_rectangle_spectrum(1, 1, 50), t0, sigma, [3.0])
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_non_finite_k(self, square5000, k):
+        with pytest.raises(DomainError):
+            probe(square5000, 2.0, SIGMA, [40.0, k])
+
     def test_csv_export(self, square5000):
         text = probe(square5000, 2.0, SIGMA, [40.0, 50.0]).to_csv()
         assert text.startswith("# t0=")
@@ -88,6 +199,14 @@ class TestScanPeaks:
     def test_bad_sigma(self, square5000, sigma):
         with pytest.raises(DomainError):
             scan_peaks(square5000, (1.5, 3.5), sigma)
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, math.inf])
+    def test_bad_threshold(self, square5000, threshold):
+        with pytest.raises(DomainError):
+            scan_peaks(square5000, (1.5, 3.5), SIGMA, threshold=threshold)
+
+    def test_zero_threshold_accepted(self, square5000):
+        assert len(scan_peaks(square5000, (1.5, 3.5), SIGMA, threshold=0.0)) >= 2
 
 
 class TestEstimateOrder:
