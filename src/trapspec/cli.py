@@ -145,9 +145,12 @@ def _cmd_wavetrace(args) -> int:
         "candidates": [c.to_dict() for c in cands],
         "config": _config_of(args),
     }
-    _write(json.dumps(out, indent=2), args.out)
+    # the probe is computed before either file is written, so a failing one leaves neither
+    profile = None
     if args.probe_t0 is not None:
         profile = probe(spec, args.probe_t0, sigma, order_frequencies(spec))
+    _write(json.dumps(out, indent=2), args.out)
+    if profile is not None:
         Path(args.probe_out).write_text(profile.to_csv())
     return 0
 

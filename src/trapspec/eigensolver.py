@@ -396,9 +396,17 @@ def compute_spectrum(
     lam_c)/3 for an exact mesh halving); the per-eigenvalue accuracy field is
     the relative size of that correction. Levels too coarse to represent n
     modes are dropped automatically, and only the two finest usable levels
-    are assembled and solved.
+    are assembled and solved. With refine_levels >= 2, fewer than two usable
+    levels leave nothing to extrapolate and raise MeshError; refine_levels=1
+    solves the one level and leaves accuracy NaN.
     """
     meshes = _usable_meshes(polygon, bc, n, mesh_size, refine_levels)
+    if refine_levels >= 2 and len(meshes) < 2:
+        raise MeshError(
+            f"only the finest of {refine_levels} levels has the degrees of freedom for"
+            f" n = {n}, so nothing can be extrapolated; refine mesh_size or ask for"
+            " refine_levels=1"
+        )
     *coarse, fine = _solve_meshes(meshes[-2:], polygon, bc, n)
     if coarse:
         ev = fine + (fine - coarse[0]) / 3.0

@@ -13,9 +13,10 @@ of its pass.
 
 Each height-based branch closes with one angle equation on the level set
 F(alpha) + F(beta) = q, and all of them share one root rule: scan alpha on
-[F^-1(q/2), pi/2] for roots, drop those whose trapezoid is invalid, and let
-a supplied perimeter pick among the rest; without one, two survivors are
-not unique.
+[F^-1(q/2), pi/2] for exact roots, drop those whose trapezoid is invalid, and
+let a supplied perimeter pick among the rest; without one, two survivors are
+not unique. A residual that misses zero everywhere has no solution, however
+small its miss: there is no near-miss fallback.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .billiards import length_spectrum
 from .errors import (
@@ -104,64 +105,39 @@ def reconstruct_rectangle(lambda1: float, area: float, slack: float = 1e-9) -> R
 
 
 def _beta_from_q(alpha: float, q: float) -> float:
-    """The unique beta <= pi/2 with F(alpha) + F(beta) = q."""
+    """The unique beta <= alpha with F(alpha) + F(beta) = q.
+
+    At the isosceles end of the alpha range the inverse can land above alpha
+    by rounding; a beta within 1e-12 of alpha is alpha itself.
+    """
     v = q - corner_f(alpha)
     if v < F_MIN - 1e-13:
         raise NoSolution(f"q = {q} leaves no admissible beta at alpha = {alpha}")
-    return corner_f_inverse(v)
+    beta = corner_f_inverse(v)
+    if beta > alpha + 1e-12:
+        raise NoSolution(f"q = {q} forces beta > alpha at alpha = {alpha}")
+    return min(beta, alpha)
 
 
 _ANGLE_XTOL = 1e-12  # angle resolution of every refinement, radians
 
 
-def _min_residual(residual, a_lo: float, a_hi: float) -> float:
-    """The alpha in [a_lo, a_hi] that minimizes the squared residual."""
-    r = minimize_scalar(
-        lambda a: residual(a) ** 2,
-        bounds=(a_lo, a_hi),
-        method="bounded",
-        options={"xatol": _ANGLE_XTOL},
-    )
-    return float(r.x)
-
-
 def _angle_roots(residual, grid: np.ndarray, vals: list[float], scale: float) -> list[float]:
     """Distinct roots of an angle residual, given its values on a scan grid.
 
-    The residuals that arise here are not monotone in alpha: they have a
-    critical point at the isosceles endpoint and can graze zero tangentially.
-    Group near-zero stretches and sign changes of the scan into root
-    clusters, and refine each.
+    The residuals that arise here are not monotone in alpha, so every grid
+    interval whose end values do not share a sign is refined; roots closer
+    than 1e-4 are one root.
     """
-    tol_res = 1e-10 * max(scale, 1.0)
     # a vanishing left endpoint is the isosceles solution, exact in closed form
     if abs(vals[0]) <= 1e-13 * max(scale, 1.0):
         return [float(grid[0])]
-    flags = [abs(v) <= tol_res for v in vals]
-    n = len(grid)
-    roots = []
-    i = 0
-    while i < n:
-        if flags[i]:
-            j = i
-            while j + 1 < n and flags[j + 1]:
-                j += 1
-            a_lo, a_hi = grid[max(i - 1, 0)], grid[min(j + 1, n - 1)]
-            if vals[max(i - 1, 0)] * vals[min(j + 1, n - 1)] < 0:
-                roots.append(brentq(residual, a_lo, a_hi, xtol=_ANGLE_XTOL))
-            else:
-                # tangential near-zero: locate the minimum of the squared residual
-                roots.append(_min_residual(residual, a_lo, a_hi))
-            i = j + 1
-        elif i + 1 < n and not flags[i + 1] and vals[i] * vals[i + 1] < 0:
-            roots.append(brentq(residual, grid[i], grid[i + 1], xtol=_ANGLE_XTOL))
-            i += 1
-        else:
-            i += 1
     distinct = []
-    for r in sorted(roots):
-        if not distinct or r - distinct[-1] > 1e-4:
-            distinct.append(r)
+    for a, b, va, vb in zip(grid, grid[1:], vals, vals[1:]):
+        if va * vb <= 0:
+            r = brentq(residual, a, b, xtol=_ANGLE_XTOL)
+            if not distinct or r - distinct[-1] > 1e-4:
+                distinct.append(r)
     return distinct
 
 
@@ -183,16 +159,14 @@ def _solve_alpha(
     l_f_tol: float = 1e-6,
     L: float | None = None,
     L_tol: float = 1e-6,
-    near_miss: float = 0.0,
 ) -> Trapezoid:
     """The one angle elimination behind the three height-based solvers.
 
     residual(alpha, beta) is scanned along the level set F(alpha) + F(beta)
-    = q for alpha in [F^-1(q/2), pi/2]. When the scan finds no root and
-    near_miss > 0, the residual-minimizing alpha is taken if its miss is
-    within near_miss * max(|scale|, 1). Roots whose trapezoid is invalid
-    (b <= 0, bad parameters, or a Fagnano length other than the supplied
-    l_f) are dropped; NoSolution carries the last one's reason. With L, the
+    = q for alpha in [F^-1(q/2), pi/2], and only its exact roots are kept.
+    Roots whose trapezoid is invalid (b <= 0, bad parameters, or a Fagnano
+    length other than the supplied l_f) are dropped; NoSolution carries the
+    last one's reason, or says that no root exists. With L, the
     candidate nearest that perimeter wins: InconsistentInvariants when even
     it misses by more than L_tol (relative), NonUniqueSolution when the
     runner-up is within 10x its miss. Without L, two candidates are
@@ -205,12 +179,6 @@ def _solve_alpha(
     grid = np.linspace(corner_f_inverse(q / 2.0), math.pi / 2, 257)
     vals = [along_q(a) for a in grid]
     roots = _angle_roots(along_q, grid, vals, scale)
-    if not roots and near_miss > 0:
-        # the minimum of |residual|, bracketed by the grid points around its smallest sample
-        k = int(np.argmin(np.abs(vals)))
-        best = _min_residual(along_q, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
-        if abs(along_q(best)) <= near_miss * max(abs(scale), 1.0):
-            roots = [best]
     cands = []
     reason = f"no base angle in [F^-1(q/2), pi/2] zeroes the residual at q = {q}"
     for alpha in roots:
@@ -268,7 +236,6 @@ def solve_from_h(
     h: float,
     l_f: float | None = None,
     l_f_tol: float = 1e-6,
-    s_slack: float = 0.0,
 ) -> Trapezoid:
     """Trapezoid from area, perimeter, angle invariant, and height.
 
@@ -279,9 +246,7 @@ def solve_from_h(
 
     Along the level set F(alpha) + F(beta) = q the csc sum varies only at
     second order, so with inexact inputs the target may be unattainable even
-    when a nearby trapezoid exists. s_slack > 0 accepts the residual-
-    minimizing alpha when the miss is within s_slack (relative to the csc
-    target); the default keeps the solver exact.
+    when a nearby trapezoid exists; that is NoSolution, not a near miss.
 
     When l_f is supplied the recovered trapezoid must reproduce that Fagnano
     length, which turns an over-determined constraint set (as arises when two
@@ -291,11 +256,11 @@ def solve_from_h(
         raise DomainError("A, L, h must be positive")
     _check_q(q)
     s_target = (L - 2 * A / h) / h
-    if s_target <= 2 + 1e-12 and s_slack <= 0:
+    if s_target <= 2 + 1e-12:
         raise NoSolution("csc(alpha) + csc(beta) must exceed 2; no trapezoid fits")
     return _solve_alpha(
         lambda alpha, beta: 1 / math.sin(alpha) + 1 / math.sin(beta) - s_target,
-        q, s_target, A, h, l_f=l_f, l_f_tol=l_f_tol, near_miss=s_slack,
+        q, s_target, A, h, l_f=l_f, l_f_tol=l_f_tol,
     )
 
 
@@ -387,9 +352,6 @@ def solve_from_lf_halpha(
         raise NoSolution("l_f exceeds 2 h_alpha; sin(alpha) would exceed 1")
     alpha = math.pi / 2 if s >= 1 - 1e-12 else math.asin(s)
     beta = _beta_from_q(alpha, q)
-    if beta > alpha + 1e-12:
-        raise NoSolution("angle invariant forces beta > alpha on this branch")
-    beta = min(beta, alpha)
     B = h_alpha / math.sin(beta)
     rest = L - 2 * B
     if rest <= 0:
@@ -590,12 +552,11 @@ def scan_and_reconstruct(
     # hypotheses: (branch name, thunk building the trapezoid)
     hypotheses: list[tuple[str, Trapezoid]] = []
 
-    def try_branch(branch: str, builder) -> bool:
+    def try_branch(branch: str, builder) -> None:
         try:
             hypotheses.append((branch, builder()))
-            return True
         except (NoSolution, NonUniqueSolution, InconsistentInvariants, DomainError):
-            return False
+            pass
 
     def band_hypotheses(branch: str, t0: float, lf: float | None = None):
         """All reconstructions consistent with a first-order band at t0 = 2h.
@@ -604,16 +565,12 @@ def scan_and_reconstruct(
         ill conditioned on fitted invariants, every other observed peak is
         also tried in the role of 2b, which pins the angles through the well
         conditioned cot sum; the perimeter check and the later cross-
-        validation discard the wrong peak assignments. If nothing else works,
-        the csc solve is retried accepting a near-miss within the invariant
-        tolerance.
+        validation discard the wrong peak assignments.
         """
         lf_tol = match_tol / max(lf, 1.0) if lf is not None else 1e-6
-        got = try_branch(
-            branch, lambda: solve_from_h(A, L, q, t0 / 2, l_f=lf, l_f_tol=lf_tol)
-        )
+        try_branch(branch, lambda: solve_from_h(A, L, q, t0 / 2, l_f=lf, l_f_tol=lf_tol))
         if lf is not None:
-            got |= try_branch(
+            try_branch(
                 branch,
                 lambda: solve_from_h_and_lf(
                     A, q, t0 / 2, lf, L=L, L_tol=cfg.invariant_rel_tol
@@ -622,7 +579,7 @@ def scan_and_reconstruct(
         for other in peaks:
             if abs(other.t0 - t0) < 1e-9 or (lf is not None and abs(other.t0 - lf) < 1e-9):
                 continue
-            got |= try_branch(
+            try_branch(
                 branch,
                 lambda t2=other.t0: solve_from_h_and_b(
                     A, q, t0 / 2, t2 / 2, L=L, L_tol=cfg.invariant_rel_tol,
@@ -631,20 +588,12 @@ def scan_and_reconstruct(
             )
             if lf is None:
                 # the same peak may instead be the isolated Fagnano length
-                got |= try_branch(
+                try_branch(
                     branch,
                     lambda t2=other.t0: solve_from_h_and_lf(
                         A, q, t0 / 2, t2, L=L, L_tol=cfg.invariant_rel_tol
                     ),
                 )
-        if not got:
-            try_branch(
-                branch,
-                lambda: solve_from_h(
-                    A, L, q, t0 / 2, l_f=lf, l_f_tol=lf_tol,
-                    s_slack=cfg.invariant_rel_tol,
-                ),
-            )
 
     def first_reading(cands, skip: str):
         """Classify cands in order, each classified one into the evidence, and

@@ -189,6 +189,8 @@ class TestMalformedInput:
              "DomainError"),
             (["wavetrace", "{square_csv}", "--t-lo", "1.5", "--t-hi", "4.5", "--threshold", "nan"],
              "DomainError"),
+            (["wavetrace", "{square_csv}", "--t-lo", "1.5", "--t-hi", "4.5",
+              "--probe-t0", "-1", "--probe-out", "{probe}"], "DomainError"),
             (["reconstruct", "{trapezoid_csv}", "--sigma", "0"], "DomainError"),
             (["spectrum", "{nan_side}", "--exact", "--n", "10"], "ValueError"),
             (["spectrum", "{null_side}", "--exact", "--n", "10"], "ValueError"),
@@ -202,7 +204,7 @@ class TestMalformedInput:
              "invariants-unknown-bc-tag",
              "invariants-header-only", "invariants-no-domain-field", "wavetrace-header-only",
              "wavetrace-sigma-0", "wavetrace-sigma-negative", "wavetrace-sigma-nan",
-             "wavetrace-threshold-nan",
+             "wavetrace-threshold-nan", "wavetrace-probe-t0-negative",
              "reconstruct-sigma-0", "spectrum-nan-side", "spectrum-null-side",
              "orbits-null-angle", "orbits-null-vertex", "orbits-lmax-inf",
              "orbits-lmax-nan"],
@@ -221,6 +223,7 @@ class TestMalformedInput:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == error
         assert not out.exists()
+        assert not Path(paths["probe"]).exists()
 
 
 class TestInvariantsCommand:

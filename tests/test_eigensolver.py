@@ -149,6 +149,15 @@ class TestLevelLadder:
         # levels 1, 1/2, 1/4 and 1/8 only the last has the 11 nodes 5 modes need
         assert len(level_eigenvalues(UNIT_SQUARE, DIRICHLET, 5, 1 / 8, 4)) == 1
 
+    def test_one_usable_level_is_not_extrapolated(self):
+        # levels 1/4, 1/8, 1/16 have 9, 49 and 225 interior nodes; 150 modes need 192
+        assert len(level_eigenvalues(UNIT_SQUARE, DIRICHLET, 150, 1 / 16, 3)) == 1
+        with pytest.raises(MeshError):
+            compute_spectrum(UNIT_SQUARE, DIRICHLET, n=150, mesh_size=1 / 16, refine_levels=3)
+        # one level asked for is one level solved, with no error estimate
+        s = compute_spectrum(UNIT_SQUARE, DIRICHLET, n=150, mesh_size=1 / 16, refine_levels=1)
+        assert s.count == 150 and np.all(np.isnan(s.accuracy))
+
     def test_compute_spectrum_extrapolates_last_two_levels(self):
         # the h = 1/4 level has 10 interior nodes, too few for 10 modes
         levels = level_eigenvalues(UNIT_SQUARE, DIRICHLET, 10, 1 / 16, 3)
