@@ -16,7 +16,13 @@ F(alpha) + F(beta) = q, and all of them share one root rule: scan alpha on
 [F^-1(q/2), pi/2] for exact roots, drop those whose trapezoid is invalid, and
 let a supplied perimeter pick among the rest; without one, two survivors are
 not unique. A residual that misses zero everywhere has no solution, however
-small its miss: there is no near-miss fallback.
+small its miss: there is no near-miss fallback. Each residual is written once
+over a math module: the scan evaluates it on its whole grid with numpy, and
+Brent's method refines each sign change with math.
+
+Every surviving shape is cross-validated against the observed peaks: its
+billiard orbits are enumerated up to the longest peak plus the 2 sigma match
+tolerance, since no longer orbit can match a peak.
 """
 
 from __future__ import annotations
@@ -122,7 +128,24 @@ def _beta_from_q(alpha: float, q: float) -> float:
 _ANGLE_XTOL = 1e-12  # angle resolution of every refinement, radians
 
 
-def _angle_roots(residual, grid: np.ndarray, vals: list[float], scale: float) -> list[float]:
+def _scan(residual, grid: np.ndarray, q: float) -> np.ndarray:
+    """residual(np, alpha, beta) along F(alpha) + F(beta) = q on the grid.
+
+    beta comes from the closed form behind _beta_from_q, evaluated on the
+    whole grid at once with the same operations, so its values are the
+    scalar ones. Where a grid point has no admissible beta, the error is the
+    one _beta_from_q raises at the first such point.
+    """
+    v = q - 1.0 / (grid * (np.pi - grid))
+    beta = (2.0 / v) / (np.pi + np.sqrt(np.maximum(np.pi**2 - 4.0 / v, 0.0)))
+    # _beta_from_q (or corner_f_inverse) raises at these points; the first
+    # one's error is the scalar loop's
+    for i in np.flatnonzero(~((v >= F_MIN - 1e-15) & (beta <= grid + 1e-12))):
+        beta[i] = _beta_from_q(float(grid[i]), q)
+    return residual(np, grid, np.minimum(beta, grid))
+
+
+def _angle_roots(residual, grid: np.ndarray, vals: np.ndarray, scale: float) -> list[float]:
     """Distinct roots of an angle residual, given its values on a scan grid.
 
     The residuals that arise here are not monotone in alpha, so every grid
@@ -133,16 +156,23 @@ def _angle_roots(residual, grid: np.ndarray, vals: list[float], scale: float) ->
     if abs(vals[0]) <= 1e-13 * max(scale, 1.0):
         return [float(grid[0])]
     distinct = []
-    for a, b, va, vb in zip(grid, grid[1:], vals, vals[1:]):
-        if va * vb <= 0:
-            r = brentq(residual, a, b, xtol=_ANGLE_XTOL)
-            if not distinct or r - distinct[-1] > 1e-4:
-                distinct.append(r)
+    for i in np.flatnonzero(vals[:-1] * vals[1:] <= 0):
+        try:
+            r = brentq(residual, grid[i], grid[i + 1], xtol=_ANGLE_XTOL)
+        except ValueError:
+            # numpy's tan may differ from math's in the last bit, so a scan
+            # value within rounding of zero can change sign under math: that
+            # bracket holds no root of the residual Brent's method refines
+            continue
+        if not distinct or r - distinct[-1] > 1e-4:
+            distinct.append(r)
     return distinct
 
 
 def _check_q(q: float) -> None:
     """Reject angle invariants outside the genuine-trapezoid range."""
+    if not math.isfinite(q):
+        raise DomainError(f"angle invariant must be finite, got {q}")
     if q < Q_RECTANGLE - 1e-12:
         raise DomainError("angle invariant below the rectangle minimum")
     if q < Q_RECTANGLE + 1e-12:
@@ -162,8 +192,10 @@ def _solve_alpha(
 ) -> Trapezoid:
     """The one angle elimination behind the three height-based solvers.
 
-    residual(alpha, beta) is scanned along the level set F(alpha) + F(beta)
-    = q for alpha in [F^-1(q/2), pi/2], and only its exact roots are kept.
+    residual(m, alpha, beta), written over a math module m (numpy on the scan
+    grid, math for Brent's refinements), is scanned along the level set
+    F(alpha) + F(beta) = q for alpha in [F^-1(q/2), pi/2], and only its
+    exact roots are kept.
     Roots whose trapezoid is invalid (b <= 0, bad parameters, or a Fagnano
     length other than the supplied l_f) are dropped; NoSolution carries the
     last one's reason, or says that no root exists. With L, the
@@ -173,12 +205,11 @@ def _solve_alpha(
     NonUniqueSolution.
     """
     def along_q(a):
-        return residual(a, _beta_from_q(a, q))
+        return residual(math, a, _beta_from_q(a, q))
 
     # scan from the isosceles end of the alpha range
     grid = np.linspace(corner_f_inverse(q / 2.0), math.pi / 2, 257)
-    vals = [along_q(a) for a in grid]
-    roots = _angle_roots(along_q, grid, vals, scale)
+    roots = _angle_roots(along_q, grid, _scan(residual, grid, q), scale)
     cands = []
     reason = f"no base angle in [F^-1(q/2), pi/2] zeroes the residual at q = {q}"
     for alpha in roots:
@@ -259,7 +290,7 @@ def solve_from_h(
     if s_target <= 2 + 1e-12:
         raise NoSolution("csc(alpha) + csc(beta) must exceed 2; no trapezoid fits")
     return _solve_alpha(
-        lambda alpha, beta: 1 / math.sin(alpha) + 1 / math.sin(beta) - s_target,
+        lambda m, alpha, beta: 1 / m.sin(alpha) + 1 / m.sin(beta) - s_target,
         q, s_target, A, h, l_f=l_f, l_f_tol=l_f_tol,
     )
 
@@ -294,7 +325,7 @@ def solve_from_h_and_b(
         raise NoSolution("top side at least as long as the base; not a trapezoid")
     c_target = (B - b) / h  # cot(alpha) + cot(beta)
     return _solve_alpha(
-        lambda alpha, beta: 1 / math.tan(alpha) + 1 / math.tan(beta) - c_target,
+        lambda m, alpha, beta: 1 / m.tan(alpha) + 1 / m.tan(beta) - c_target,
         q, c_target, A, h, l_f=l_f, l_f_tol=l_f_tol, L=L, L_tol=L_tol,
     )
 
@@ -322,9 +353,9 @@ def solve_from_h_and_lf(
         raise DomainError("A, h, l_f must be positive")
     _check_q(q)
 
-    def residual(alpha: float, beta: float) -> float:
-        B = A / h + h * (1 / math.tan(alpha) + 1 / math.tan(beta)) / 2
-        return 2 * B * math.sin(alpha) * math.sin(beta) - l_f
+    def residual(m, alpha, beta):
+        B = A / h + h * (1 / m.tan(alpha) + 1 / m.tan(beta)) / 2
+        return 2 * B * m.sin(alpha) * m.sin(beta) - l_f
 
     # unlike the cot sum, the Fagnano residual genuinely admits two roots for
     # some shapes; only the perimeter can break the tie
@@ -481,14 +512,19 @@ def _invariant_residuals(trap: Trapezoid, A: float, L: float, q: float) -> dict:
     }
 
 
-def _unmatched_peaks(trap: Trapezoid, peaks, lmax: float, tol: float, period_max: int):
+def _unmatched_peaks(trap: Trapezoid, peaks, tol: float, period_max: int):
     """Observed peak times with no enumerated orbit length within tol.
 
-    When the enumeration exhausts its budget, peaks are scored against the
-    orbits it found before stopping.
+    Orbits are enumerated up to the longest peak plus tol, since no longer
+    length can match a peak; with no peaks nothing is enumerated. When the
+    enumeration exhausts its budget, peaks are scored against the orbits it
+    found before stopping.
     """
+    if not peaks:
+        return []
+    lmax = max(c.t0 for c in peaks) + tol
     try:
-        lengths = length_spectrum(trap, lmax + tol, period_max=period_max).lengths
+        lengths = length_spectrum(trap, lmax, period_max=period_max).lengths
     except BudgetExceeded as exc:
         lengths = np.array([o.length for o in exc.partial])
     out = []
@@ -644,7 +680,7 @@ def scan_and_reconstruct(
     scored = []
     for branch, trap in hypotheses:
         res = _invariant_residuals(trap, A, L, q)
-        res["unmatchedPeaks"] = _unmatched_peaks(trap, peaks, L, match_tol, ORBIT_PERIOD_MAX)
+        res["unmatchedPeaks"] = _unmatched_peaks(trap, peaks, match_tol, ORBIT_PERIOD_MAX)
         ok = (
             res["areaRel"] <= cfg.invariant_rel_tol
             and res["perimeterRel"] <= cfg.invariant_rel_tol

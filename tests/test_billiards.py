@@ -624,6 +624,29 @@ class TestPlumbing:
             ]
             assert got == want, kind
 
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            vertices(new_trapezoid(B=2.0, h=1.0, alpha=math.radians(75), beta=math.radians(60))),
+            SQUARE,
+            *(vertices(random_trapezoid(np.random.default_rng(seed))) for seed in range(6)),
+        ],
+        ids=["flagship", "square", *(f"random{seed}" for seed in range(6))],
+    )
+    def test_shorter_lmax_is_a_prefix(self, poly):
+        # inverse._unmatched_peaks enumerates only up to its longest peak:
+        # that must give the entries of a longer search that lie within it
+        y = 3 * poly.diameter
+        longer = length_spectrum(poly, y, period_max=12).entries
+        for frac in (0.4, 0.55, 0.7, 0.85):
+            x = frac * y
+            shorter = length_spectrum(poly, x, period_max=12).entries
+            prefix = [e for e in longer if e[0] <= x]
+            assert [e[0] for e in shorter] == [e[0] for e in prefix], frac
+            assert [[o.to_dict() for o in e[1]] for e in shorter] == [
+                [o.to_dict() for o in e[1]] for e in prefix
+            ], frac
+
     def test_json_lines(self):
         spec = length_spectrum(SQUARE, 3.0)
         lines = spec.to_json_lines().strip().splitlines()

@@ -14,6 +14,7 @@ from trapspec.errors import (
     InconsistentInvariants,
     NonUniqueSolution,
     NoSolution,
+    TrapspecError,
 )
 from trapspec.geometry import (
     Q_RECTANGLE,
@@ -239,6 +240,63 @@ class TestNearIsosceles:
             checked += 1
 
 
+class TestVectorizedScan:
+    """_solve_alpha's one numpy scan decides as the scalar loop did.
+
+    np.tan can differ from math.tan in the last bit, so the cot and Fagnano
+    residuals' scan values may too; every solver outcome, root bits and
+    error messages included, must be the same under both scans.
+    """
+
+    @staticmethod
+    def _outcomes():
+        rng = np.random.default_rng(53)
+        out = []
+        for i in range(150):
+            t = random_trapezoid(rng)
+            if i % 4 == 3:  # near-isosceles, one in two of them exactly
+                gap = 0.0 if i % 8 == 3 else 10.0 ** rng.uniform(-12, -2)
+                t = new_trapezoid(B=t.B, h=t.h, alpha=t.alpha, beta=t.alpha - gap)
+            exact = (t.area, t.perimeter, q_of(t), t.h, t.b, orbit_catalog(t).fagnano.length)
+            for noise in (0.0, 1e-3):
+                A, L, q, h, b, lf = (x * (1 + noise * rng.uniform(-1, 1)) for x in exact)
+                for solve in (
+                    lambda: solve_from_h(A, L, q, h),
+                    lambda: solve_from_h(A, L, q, h, l_f=lf, l_f_tol=1e-3),
+                    lambda: solve_from_h_and_b(A, q, h, b, L=L, L_tol=0.05),
+                    lambda: solve_from_h_and_lf(A, q, h, lf, L=L, L_tol=0.05),
+                ):
+                    try:
+                        r = solve()
+                    except TrapspecError as exc:
+                        out.append(f"{type(exc).__name__}: {exc}")
+                    else:
+                        out.append(" ".join(x.hex() for x in (r.B, r.h, r.alpha, r.beta)))
+        return out
+
+    def test_decides_as_the_scalar_loop(self, monkeypatch):
+        vectorized = self._outcomes()
+
+        def scalar_scan(residual, grid, q):
+            return np.array([residual(math, a, inverse._beta_from_q(a, q)) for a in grid])
+
+        monkeypatch.setattr(inverse, "_scan", scalar_scan)
+        scalar = self._outcomes()
+        assert len(scalar) == 1200 and sum(o.startswith("0x") for o in scalar) > 600
+        assert vectorized == scalar
+
+    @pytest.mark.parametrize("q", [math.inf, math.nan])
+    def test_non_finite_q_rejected(self, q):
+        # not scanned: an infinite q put alpha = 0 on the grid
+        for solve in (
+            lambda: solve_from_h(2.0, 6.0, q, 1.0),
+            lambda: solve_from_h_and_b(2.0, q, 1.0, 0.5),
+            lambda: solve_from_h_and_lf(2.0, q, 1.0, 2.5),
+        ):
+            with pytest.raises(DomainError):
+                solve()
+
+
 class TestSolveFromLfHalpha:
     def test_isosceles_example(self):
         t = solve_from_lf_halpha(L=5.0, q=9 / PI**2, l_f=3.0, h_alpha=math.sqrt(3))
@@ -393,7 +451,7 @@ class TestUnmatchedPeaks:
             raise BudgetExceeded("budget exhausted", partial=[orbit])
 
         monkeypatch.setattr(inverse, "length_spectrum", exhausted)
-        assert inverse._unmatched_peaks(self.TRAP, self.PEAKS, 4.0, 0.05, 12) == [3.5]
+        assert inverse._unmatched_peaks(self.TRAP, self.PEAKS, 0.05, 12) == [3.5]
 
     def test_other_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -401,7 +459,20 @@ class TestUnmatchedPeaks:
 
         monkeypatch.setattr(inverse, "length_spectrum", broken)
         with pytest.raises(DomainError):
-            inverse._unmatched_peaks(self.TRAP, self.PEAKS, 4.0, 0.05, 12)
+            inverse._unmatched_peaks(self.TRAP, self.PEAKS, 0.05, 12)
+
+    def test_enumerates_up_to_the_longest_peak(self, monkeypatch):
+        lmaxes, enumerate_ = [], inverse.length_spectrum
+
+        def recorded(trap, lmax, period_max):
+            lmaxes.append(lmax)
+            return enumerate_(trap, lmax, period_max=period_max)
+
+        monkeypatch.setattr(inverse, "length_spectrum", recorded)
+        inverse._unmatched_peaks(self.TRAP, self.PEAKS[::-1], 0.05, 12)
+        assert lmaxes == [3.5 + 0.05]
+        assert inverse._unmatched_peaks(self.TRAP, [], 0.05, 12) == []
+        assert lmaxes == [3.5 + 0.05]
 
 
 # scripted peak times of TestDecisionWalk: an l_F read at 1.0 opens the
