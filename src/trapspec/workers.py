@@ -79,8 +79,8 @@ class WorkerPool:
     def grow(self, workers: int) -> None:
         """Start workers until there are `workers`, or as many as before a close."""
         self.size = max(self.size, workers)
-        env = dict(os.environ, **{var: "1" for var in _BLAS_THREAD_VARS})
         while len(self._procs) < self.size:
+            env = dict(os.environ, **{var: "1" for var in _BLAS_THREAD_VARS})
             proc = subprocess.Popen(
                 [sys.executable, "-c", _SERVE],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, cwd=_PACKAGE_ROOT, env=env,

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import trapspec
 from trapspec import eigensolver, workers
@@ -20,6 +22,7 @@ from trapspec.eigensolver import (
     Spectrum,
     _LANCZOS_SEED,
     _SLICE_SIZE,
+    _dissection_order,
     _factor,
     _restrict_dirichlet,
     _solve_slice,
@@ -120,6 +123,24 @@ class TestFemOracles:
         tol = (np.max(a.accuracy) + np.max(b.accuracy) + 1e-3) * a.eigenvalues
         assert np.all(np.abs(a.eigenvalues - b.eigenvalues) <= tol)
 
+    def test_neumann_zero_mode_is_exact(self, flagship_trapezoid):
+        # the constant function is an exact P1 eigenvector
+        s = compute_spectrum(vertices(flagship_trapezoid), NEUMANN, n=60, mesh_size=0.05, refine_levels=2)
+        assert s.eigenvalues[0] == 0.0 and s.accuracy[0] == 0.0
+        header, first = s.to_csv().splitlines()[:2]
+        assert first == "0"
+        assert float(header.rsplit(" accuracy=", 1)[1]) == np.max(s.accuracy[1:])
+
+    def test_stored_flagship_spectrum_recomputed(self, flagship_trapezoid):
+        # perfbench/data/band_2h_flagship.json was solved by an earlier
+        # eigensolver (its manifest names the commit). Its accuracy column
+        # predates the sort that keeps each accuracy with its eigenvalue, so
+        # only the eigenvalues are compared
+        data = Path(__file__).parents[1] / "perfbench" / "data" / "band_2h_flagship.json"
+        stored = np.array(json.loads(data.read_text())["eigenvalues"])
+        s = compute_spectrum(vertices(flagship_trapezoid), n=800, mesh_size=0.012, refine_levels=2)
+        assert np.max(np.abs(s.eigenvalues - stored) / stored) <= 1e-9
+
     def test_mesh_size_guard(self):
         with pytest.raises(MeshError):
             compute_spectrum(UNIT_SQUARE, DIRICHLET, n=5, mesh_size=0.5)
@@ -184,17 +205,18 @@ class TestLevelLadder:
     ids=["square-D", "square-N", "flagship-D", "flagship-N"],
 )
 def small_system(request, flagship_trapezoid):
-    """(polygon, bc, K, M, dense eigenvalues) on an h = 0.08 mesh."""
+    """(polygon, bc, K, M, dense eigenvalues, dof coordinates) on an h = 0.08 mesh."""
     shape, bc = request.param
     poly = UNIT_SQUARE if shape == "square" else vertices(flagship_trapezoid)
     mesh = triangulate(poly, 0.08)
     K, M = assemble_p1(mesh)
     if bc == DIRICHLET:
         K, M = _restrict_dirichlet(K, M, mesh.boundary_mask)
+        xy = mesh.nodes[~mesh.boundary_mask]
     else:
-        K, M = K.tocsc(), M.tocsc()
+        K, M, xy = K.tocsc(), M.tocsc(), mesh.nodes
     dense = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)
-    return poly, bc, K, M, dense
+    return poly, bc, K, M, dense, xy
 
 
 @pytest.fixture
@@ -211,15 +233,18 @@ def assert_matches_dense(ev, dense):
 
 class TestInertiaSlicing:
     def test_count_matches_dense(self, small_system):
-        _, _, K, M, dense = small_system
+        _, _, K, M, dense, xy = small_system
         # midway between neighbours, and just beside each nonzero eigenvalue;
         # the mesh splits the square's double eigenvalues into close pairs
         gaps = np.diff(dense) > 1e-9 * dense[-1]
         mids = 0.5 * (dense[1:] + dense[:-1])[gaps]
         nonzero = dense[dense > 1e-6 * dense[-1]]
         shifts = np.concatenate([mids, nonzero * (1 - 1e-6), nonzero * (1 + 1e-6)])
-        for s in shifts:
-            assert _factor(K, M, s)[1] == np.count_nonzero(dense < s), s
+        # in the input order and in the dissected order the solver uses
+        perm = _dissection_order(xy, K)
+        for K, M in ((K, M), (K[perm][:, perm], M[perm][:, perm])):
+            for s in shifts:
+                assert _factor(K, M, s)[1] == np.count_nonzero(dense < s), s
 
     def test_square_pairs_are_probed(self):
         mesh = triangulate(UNIT_SQUARE, 0.08)
@@ -231,13 +256,13 @@ class TestInertiaSlicing:
         assert _factor(K, M, pair.mean())[1] == 2
 
     def test_lowest_eigenvalues_match_dense(self, small_system):
-        poly, bc, K, M, dense = small_system
+        poly, bc, K, M, dense, _ = small_system
         n = len(dense) // 2
         ev = lowest_eigenvalues(K, M, n, poly.area, poly.perimeter, bc)
         assert_matches_dense(ev, dense)
 
     def test_bounds_extended_when_weyl_falls_short(self, small_system, monkeypatch, slices_in_process):
-        poly, bc, K, M, dense = small_system
+        poly, bc, K, M, dense, _ = small_system
         calls = []
         solve = eigensolver._solve_slice
 
@@ -253,7 +278,7 @@ class TestInertiaSlicing:
         assert len(calls) > 2  # one slice per added bound; the true area needs two or three
 
     def test_dropped_ritz_value_is_an_error(self, small_system, monkeypatch, slices_in_process):
-        poly, bc, K, M, dense = small_system
+        poly, bc, K, M, dense, _ = small_system
         tridiagonal = sla.eigh_tridiagonal
 
         def drop_nearest(*args, **kwargs):
@@ -286,6 +311,8 @@ class TestInertiaSlicing:
         for _ in range(levels - 1):
             mesh = refine_uniform(mesh)
         K, M = _restrict_dirichlet(*assemble_p1(mesh), mesh.boundary_mask)
+        perm = _dissection_order(mesh.nodes[~mesh.boundary_mask], K)  # the order it is solved in
+        K, M = K[perm][:, perm], M[perm][:, perm]
         wants = []
 
         def planned(K, M, lo, hi, want, v0):
@@ -297,6 +324,81 @@ class TestInertiaSlicing:
         lowest_eigenvalues(K, M, n, poly.area, poly.perimeter, DIRICHLET)
         assert len(wants) == math.ceil(n / _SLICE_SIZE)
         assert n <= sum(wants) <= n + 8
+
+
+def ladder(poly, h, levels):
+    """The meshes of a refinement ladder from a triangulation at h, coarsest first."""
+    meshes = [triangulate(poly, h)]
+    for _ in range(levels - 1):
+        meshes.append(refine_uniform(meshes[-1]))
+    return meshes
+
+
+def default_ordered_factor(K, M, s):
+    """SuperLU's LU of K - s M in its default (COLAMD) column order, diagonal pivots."""
+    return spla.splu((K - s * M).tocsc(), diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+class TestDissectionOrder:
+    @pytest.mark.parametrize(
+        "shape, bc, h, levels",
+        [
+            ("square", DIRICHLET, 1 / 4, 4),
+            ("triangle", DIRICHLET, 1 / 4, 4),
+            ("flagship", DIRICHLET, 0.048, 3),
+            ("flagship", NEUMANN, 0.048, 3),
+        ],
+        ids=["square-D", "triangle-D", "flagship-D", "flagship-N"],
+    )
+    def test_permutes_the_dofs_on_every_level(self, shape, bc, h, levels, flagship_trapezoid):
+        polygons = {"square": UNIT_SQUARE, "triangle": RIGHT_ISO_TRIANGLE, "flagship": vertices(flagship_trapezoid)}
+        for mesh in ladder(polygons[shape], h, levels):
+            K, M = assemble_p1(mesh)
+            xy = mesh.nodes
+            if bc == DIRICHLET:
+                K, M = _restrict_dirichlet(K, M, mesh.boundary_mask)
+                xy = xy[~mesh.boundary_mask]
+            perm = _dissection_order(xy, K)
+            assert np.array_equal(np.sort(perm), np.arange(K.shape[0]))
+
+    def test_flagship_counts_match_default_order(self, flagship_trapezoid, monkeypatch, slices_in_process):
+        # every count the flagship's level_eigenvalues(n=800, mesh_size=0.012,
+        # refine_levels=2) plans its slices with
+        poly = vertices(flagship_trapezoid)
+        counted = []  # (dof, shift, eigenvalues below it)
+        factor = eigensolver._factor
+
+        def recorded(K, M, s):
+            lu, below = factor(K, M, s)
+            counted.append((K.shape[0], s, below))
+            return lu, below
+
+        monkeypatch.setattr(eigensolver, "_factor", recorded)
+        monkeypatch.setattr(
+            eigensolver, "_solve_slice", lambda K, M, lo, hi, want, v0: np.linspace(lo, hi, want, endpoint=False)
+        )
+        level_eigenvalues(poly, DIRICHLET, 800, 0.012, 2)
+        for mesh in ladder(poly, 0.024, 2):
+            K, M = _restrict_dirichlet(*assemble_p1(mesh), mesh.boundary_mask)
+            shifts = [(s, below) for dof, s, below in counted if dof == K.shape[0]]
+            assert len(shifts) >= math.ceil(800 / _SLICE_SIZE)
+            for s, below in shifts:
+                assert below == np.count_nonzero(default_ordered_factor(K, M, s).U.diagonal() < 0), s
+
+    def test_flagship_fine_level_fill(self, flagship_trapezoid, monkeypatch):
+        # counts structure only: L + U of the system the solver is handed
+        # against the default-ordered LU of the restricted system
+        poly = vertices(flagship_trapezoid)
+        handed = []
+        monkeypatch.setattr(eigensolver, "_solve_levels", lambda systems, *args: handed.extend(systems) or [])
+        level_eigenvalues(poly, DIRICHLET, 800, 0.012, 2)
+        K, M = handed[-1]
+        mesh = ladder(poly, 0.024, 2)[-1]
+        K0, M0 = _restrict_dirichlet(*assemble_p1(mesh), mesh.boundary_mask)
+        assert K.shape == K0.shape
+        s = 6000.0
+        lu, default = _factor(K, M, s)[0], default_ordered_factor(K0, M0, s)
+        assert lu.L.nnz + lu.U.nnz <= 0.8 * (default.L.nnz + default.U.nnz)
 
 
 class TestLevelRun:
@@ -347,8 +449,9 @@ class TestLevelRun:
         assert solved == sorted(set(calls))[-2:]  # the coarsest level is not solved
         extrap = fine + (fine - coarse) / 3.0
         acc = np.abs(extrap - fine) / np.maximum(np.abs(fine), 1e-30)
-        if bc == NEUMANN:  # the zero mode's rounding is clamped to 0
-            extrap[0] = max(extrap[0], 0.0)
+        if bc == NEUMANN:  # the zero mode is exactly 0, with accuracy 0
+            assert abs(extrap[0]) < 1e-6 * extrap[-1]
+            extrap[0] = acc[0] = 0.0
         order = np.argsort(extrap, kind="stable")
         assert np.array_equal(s.eigenvalues, extrap[order])
         assert np.array_equal(s.accuracy, acc[order])
