@@ -63,7 +63,7 @@ _DISSECTION_LEAF = 16  # a part of at most this many nodes is not bisected
 
 @dataclass
 class Spectrum:
-    """Ascending Laplace eigenvalues with boundary condition and accuracy."""
+    """Ascending, finite Laplace eigenvalues with boundary condition and accuracy."""
 
     eigenvalues: np.ndarray
     boundary_condition: str
@@ -72,6 +72,9 @@ class Spectrum:
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(ev))
+        if len(bad):
+            raise DomainError(f"eigenvalue {bad[0]} is {ev[bad[0]]}; eigenvalues must be finite")
         if np.any(np.diff(ev) < -1e-9 * max(1.0, abs(ev[-1]) if len(ev) else 1.0)):
             raise DomainError("eigenvalues must be sorted ascending")
         order = np.argsort(ev, kind="stable")  # each accuracy stays with its eigenvalue

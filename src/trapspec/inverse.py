@@ -1,15 +1,19 @@
 """Reconstruction of a non-obtuse trapezoid (or rectangle) from its spectrum.
 
 The pipeline turns the uniqueness proof into a procedure: extract the heat
-invariants (A, L, q), decide rectangle vs trapezoid from q, then walk the
-wave-trace singularities in order of length. One reading step serves the
-whole walk: it classifies candidates in order and stops at the first whose
-label is not the one its pass skips. The first pass skips diffractive
+invariants (A, L, q), decide rectangle vs trapezoid from q, then read,
+propose and judge. _read walks the wave-trace singularities in order of
+length; each pass classifies candidates in order and stops at the first
+whose label is not the one it skips. The first pass skips diffractive
 (2mb-type) lengths: order +1/2 there pins down 2h, order 0 pins down the
 Fagnano length l_F. The window pass over (l_F, 2 l_F) skips unrelated
 isolated orbits and shows 2h (order +1/2), 2h_alpha (order -1/2), or
-nothing, which forces alpha = pi/2. An ambiguous reading runs both branches
-of its pass.
+nothing, which forces alpha = pi/2. _proposals turns the readings into
+solver calls, both branches of an ambiguous reading, and _judge
+cross-validates the shapes they return against the invariants and the
+observed peaks. One rule covers solver failures: NoSolution,
+NonUniqueSolution, InconsistentInvariants and DomainError reject the
+hypothesis, and any other error propagates.
 
 Each height-based branch closes with one angle equation on the level set
 F(alpha) + F(beta) = q, and all of them share one root rule: scan alpha on
@@ -19,10 +23,6 @@ not unique. A residual that misses zero everywhere has no solution, however
 small its miss: there is no near-miss fallback. Each residual is written once
 over a math module: the scan evaluates it on its whole grid with numpy, and
 Brent's method refines each sign change with math.
-
-Every surviving shape is cross-validated against the observed peaks: its
-billiard orbits are enumerated up to the longest peak plus the 2 sigma match
-tolerance, since no longer orbit can match a peak.
 """
 
 from __future__ import annotations
@@ -545,14 +545,135 @@ def _classified(spectrum, cand: SingularityCandidate, sigma: float):
     return classify_candidate(cand)
 
 
+def _reading(spectrum, cands, sigma: float, skip: str):
+    """Classify cands in order up to the first whose label is not skip; return
+    the candidates classified on the way and that (candidate, label), or (None, None)."""
+    classified = []
+    for cand in cands:
+        label = _classified(spectrum, cand, sigma)
+        if label is None:
+            continue
+        classified.append(cand)
+        if label != skip:
+            return classified, (cand, label)
+    return classified, (None, None)
+
+
+def _read(spectrum, peaks: list[SingularityCandidate], sigma: float):
+    """The two-pass walk: the evidence, the first reading and the window
+    reading, which is None unless the first read l_F (isolated or ambiguous)."""
+    evidence, first = _reading(spectrum, peaks, sigma, "diffractive")
+    if first[1] not in ("isolated", "ambiguous"):
+        return evidence, first, None
+    l_f = first[0].t0
+    window = [c for c in peaks if l_f * (1 + 1e-9) < c.t0 < 2 * l_f]
+    more, second = _reading(spectrum, window, sigma, "isolated")
+    return evidence + more, first, second
+
+
+def _proposals(first, window, peaks, A, L, q, match_tol, rel_tol):
+    """Every hypothesis the readings allow, as (branch, solver, args, kwargs).
+
+    A 2h band proposes the csc-sum solve, then the Fagnano solve when l_F was
+    read. The csc sum is ill conditioned on fitted invariants, so every other
+    peak is also proposed as 2b (cot sum) and, with no l_F read, as l_F; the
+    perimeter check and the cross-validation reject the wrong assignments.
+    """
+    bands = []
+    cand, label = first
+    if label in ("band", "ambiguous"):
+        bands.append(("FirstOrderHalfIs2h", cand.t0, None))
+    if window is not None:
+        l_f = cand.t0
+        cand, label = window
+        if label in ("band", "ambiguous"):
+            bands.append(("LFThen2h", cand.t0, l_f))
+    perimeter = {"L": L, "L_tol": rel_tol}
+    for branch, t0, lf in bands:
+        h = t0 / 2
+        lf_tol = match_tol / max(lf, 1.0) if lf is not None else 1e-6
+        fagnano = {"l_f": lf, "l_f_tol": lf_tol}
+        yield branch, solve_from_h, (A, L, q, h), fagnano
+        if lf is not None:
+            yield branch, solve_from_h_and_lf, (A, q, h, lf), perimeter
+        for other in peaks:
+            if abs(other.t0 - t0) < 1e-9 or (lf is not None and abs(other.t0 - lf) < 1e-9):
+                continue
+            yield branch, solve_from_h_and_b, (A, q, h, other.t0 / 2), {**perimeter, **fagnano}
+            if lf is None:
+                yield branch, solve_from_h_and_lf, (A, q, h, other.t0), perimeter
+    if window is None:
+        return
+    if label in ("diffractive", "ambiguous"):
+        area = {"area": A, "area_tol": rel_tol}
+        yield "LFThen2hAlpha", solve_from_lf_halpha, (L, q, l_f, cand.t0 / 2), area
+    if label is None:
+        yield "AlphaRightAngle", solve_alpha_right, (A, L, q), {}
+
+
+def _judge(hypotheses, evidence, peaks, invariants, ambiguous, cfg, match_tol):
+    """Cross-validate, rank and de-duplicate the hypotheses into the report.
+    With no shape passing, an ambiguous walk keeps them all, and an
+    unambiguous one raises InvariantMismatch."""
+    if not hypotheses:
+        raise AmbiguousClassification(
+            "no branch of the decision procedure produced a trapezoid; "
+            f"evidence: {[c.to_dict() for c in evidence]}"
+        )
+    A, L, q = invariants["A"], invariants["L"], invariants["q"]
+    scored, passed = [], []
+    for branch, trap in hypotheses:
+        res = _invariant_residuals(trap, A, L, q)
+        res["unmatchedPeaks"] = _unmatched_peaks(trap, peaks, match_tol, ORBIT_PERIOD_MAX)
+        scored.append((branch, trap, res))
+        if (
+            res["areaRel"] <= cfg.invariant_rel_tol
+            and res["perimeterRel"] <= cfg.invariant_rel_tol
+            and res["qRel"] <= cfg.invariant_rel_tol
+            and not res["unmatchedPeaks"]
+        ):
+            passed.append(scored[-1])
+    if not passed and not ambiguous:
+        branch, _, res = scored[0]
+        raise InvariantMismatch(
+            f"reconstructed trapezoid on branch {branch} fails cross-validation: {res}"
+        )
+    survivors = passed or scored
+    survivors.sort(key=lambda s: s[2]["areaRel"] + s[2]["perimeterRel"] + s[2]["qRel"])
+    # different peak assignments can land on the same shape; keep one copy
+    deduped = []
+    for s in survivors:
+        t = s[1]
+        if not any(
+            max(
+                abs(t.B - u.B), abs(t.h - u.h), abs(t.alpha - u.alpha),
+                abs(t.beta - u.beta),
+            )
+            <= 1e-6 * max(t.B, 1.0)
+            for _, u, _ in deduped
+        ):
+            deduped.append(s)
+    branch, trap, res = deduped[0]
+    return ReconstructionReport(
+        trapezoid=trap,
+        branch=branch,
+        evidence=evidence,
+        invariants=invariants,
+        residuals=res,
+        ambiguous=ambiguous or len(deduped) > 1,
+        alternatives=deduped[1:],
+        config=cfg.to_dict(),
+    )
+
+
 def scan_and_reconstruct(
     spectrum: Spectrum, config: ReconstructConfig | None = None
 ) -> ReconstructionReport:
     """Full decision procedure: invariants, rectangle test, singularity walk.
 
-    Ambiguous order estimates never force a choice: every branch consistent
-    with the reading is attempted and the survivors (those whose recomputed
-    invariants and enumerated orbit lengths match the observations) are all
+    Past the rectangle test it reads, proposes and judges (see the module
+    docstring). Ambiguous order estimates never force a choice: every branch
+    consistent with the reading is attempted and the survivors are all
     reported, with the best-residual one as the primary shape.
     """
     cfg = config or ReconstructConfig()
@@ -582,145 +703,22 @@ def scan_and_reconstruct(
     sigma = cfg.sigma if cfg.sigma is not None else DEFAULT_SIGMA
     peaks = scan_peaks(spectrum, (SCAN_T_START, L), sigma)
     peaks.sort(key=lambda c: c.t0)
-    evidence: list[SingularityCandidate] = []
     match_tol = 2 * sigma
+    evidence, first, window = _read(spectrum, peaks, sigma)
+    ambiguous = first[1] == "ambiguous" or (window is not None and window[1] == "ambiguous")
 
-    # hypotheses: (branch name, thunk building the trapezoid)
-    hypotheses: list[tuple[str, Trapezoid]] = []
-
-    def try_branch(branch: str, builder) -> None:
+    hypotheses = []
+    for branch, solver, args, kwargs in _proposals(
+        first, window, peaks, A, L, q, match_tol, cfg.invariant_rel_tol
+    ):
         try:
-            hypotheses.append((branch, builder()))
+            shapes = solver(*args, **kwargs)
         except (NoSolution, NonUniqueSolution, InconsistentInvariants, DomainError):
-            pass
-
-    def band_hypotheses(branch: str, t0: float, lf: float | None = None):
-        """All reconstructions consistent with a first-order band at t0 = 2h.
-
-        The exact csc-sum solve is attempted first. Because that system is
-        ill conditioned on fitted invariants, every other observed peak is
-        also tried in the role of 2b, which pins the angles through the well
-        conditioned cot sum; the perimeter check and the later cross-
-        validation discard the wrong peak assignments.
-        """
-        lf_tol = match_tol / max(lf, 1.0) if lf is not None else 1e-6
-        try_branch(branch, lambda: solve_from_h(A, L, q, t0 / 2, l_f=lf, l_f_tol=lf_tol))
-        if lf is not None:
-            try_branch(
-                branch,
-                lambda: solve_from_h_and_lf(
-                    A, q, t0 / 2, lf, L=L, L_tol=cfg.invariant_rel_tol
-                ),
-            )
-        for other in peaks:
-            if abs(other.t0 - t0) < 1e-9 or (lf is not None and abs(other.t0 - lf) < 1e-9):
-                continue
-            try_branch(
-                branch,
-                lambda t2=other.t0: solve_from_h_and_b(
-                    A, q, t0 / 2, t2 / 2, L=L, L_tol=cfg.invariant_rel_tol,
-                    l_f=lf, l_f_tol=lf_tol,
-                ),
-            )
-            if lf is None:
-                # the same peak may instead be the isolated Fagnano length
-                try_branch(
-                    branch,
-                    lambda t2=other.t0: solve_from_h_and_lf(
-                        A, q, t0 / 2, t2, L=L, L_tol=cfg.invariant_rel_tol
-                    ),
-                )
-
-    def first_reading(cands, skip: str):
-        """Classify cands in order, each classified one into the evidence, and
-        return the first (candidate, label) whose label is not skip."""
-        for cand in cands:
-            label = _classified(spectrum, cand, sigma)
-            if label is None:
-                continue
-            evidence.append(cand)
-            if label != skip:
-                return cand, label
-        return None, None
-
-    # first pass: diffractive 2mb-type lengths are jumped over
-    cand, label = first_reading(peaks, "diffractive")
-    ambiguous = label == "ambiguous"
-    if label in ("band", "ambiguous"):
-        band_hypotheses("FirstOrderHalfIs2h", cand.t0)
-    if label in ("isolated", "ambiguous"):
-        # window pass over (l_F, 2 l_F): unrelated isolated odd orbits are skipped
-        l_f = cand.t0
-        window = [c for c in peaks if l_f * (1 + 1e-9) < c.t0 < 2 * l_f]
-        cand, label = first_reading(window, "isolated")
-        ambiguous |= label == "ambiguous"
-        if label in ("band", "ambiguous"):
-            band_hypotheses("LFThen2h", cand.t0, lf=l_f)
-        if label in ("diffractive", "ambiguous"):
-            try_branch(
-                "LFThen2hAlpha",
-                lambda: solve_from_lf_halpha(
-                    L, q, l_f, cand.t0 / 2, area=A, area_tol=cfg.invariant_rel_tol
-                ),
-            )
-        if label is None:
-            try:
-                for trap in solve_alpha_right(A, L, q):
-                    hypotheses.append(("AlphaRightAngle", trap))
-            except NoSolution:
-                pass
-
-    if not hypotheses:
-        raise AmbiguousClassification(
-            "no branch of the decision procedure produced a trapezoid; "
-            f"evidence: {[c.to_dict() for c in evidence]}"
-        )
-
-    # cross-validate every survivor against the invariants and observed peaks
-    scored = []
-    for branch, trap in hypotheses:
-        res = _invariant_residuals(trap, A, L, q)
-        res["unmatchedPeaks"] = _unmatched_peaks(trap, peaks, match_tol, ORBIT_PERIOD_MAX)
-        ok = (
-            res["areaRel"] <= cfg.invariant_rel_tol
-            and res["perimeterRel"] <= cfg.invariant_rel_tol
-            and res["qRel"] <= cfg.invariant_rel_tol
-            and not res["unmatchedPeaks"]
-        )
-        scored.append((branch, trap, res, ok))
-
-    survivors = [s for s in scored if s[3]] or scored
-    if not any(s[3] for s in scored) and not ambiguous:
-        branch, trap, res, _ = scored[0]
-        raise InvariantMismatch(
-            f"reconstructed trapezoid on branch {branch} fails cross-validation: {res}"
-        )
-    survivors.sort(key=lambda s: s[2]["areaRel"] + s[2]["perimeterRel"] + s[2]["qRel"])
-    # different peak assignments can land on the same shape; keep one copy
-    deduped = []
-    for s in survivors:
-        t = s[1]
-        if not any(
-            max(
-                abs(t.B - u.B), abs(t.h - u.h), abs(t.alpha - u.alpha),
-                abs(t.beta - u.beta),
-            )
-            <= 1e-6 * max(t.B, 1.0)
-            for _, u, _, _ in deduped
-        ):
-            deduped.append(s)
-    survivors = deduped
-    branch, trap, res, _ = survivors[0]
-    return ReconstructionReport(
-        trapezoid=trap,
-        branch=branch,
-        evidence=evidence,
-        invariants=invariants,
-        residuals=res,
-        ambiguous=ambiguous or len(survivors) > 1,
-        alternatives=[(b, t, r) for b, t, r, _ in survivors[1:]],
-        config=cfg.to_dict(),
-    )
+            continue
+        if not isinstance(shapes, list):  # solve_alpha_right returns every candidate
+            shapes = [shapes]
+        hypotheses += [(branch, s) for s in shapes]
+    return _judge(hypotheses, evidence, peaks, invariants, ambiguous, cfg, match_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,10 @@ class TestMalformedInput:
             "header_only": header + "\n",
             "no_domain": text.replace(header, "# bc=D", 1),
         }
+        # the exact 1 x 1.3 spectrum with its last value inf, or its 5th nan
+        rect = exact_rectangle_spectrum(1, 1.3, 900).to_csv().splitlines()
+        files["inf_last"] = "\n".join(rect[:-1] + ["inf"]) + "\n"
+        files["nan_fifth"] = "\n".join(rect[:5] + ["nan"] + rect[6:]) + "\n"
         for name, body in files.items():
             (tmp_path / f"{name}.csv").write_text(body)
         return {name: str(tmp_path / f"{name}.csv") for name in files}
@@ -179,6 +183,12 @@ class TestMalformedInput:
             (["invariants", "{bad_tag}"], "DomainError"),
             (["invariants", "{header_only}"], "DomainError"),
             (["invariants", "{no_domain}"], "DomainError"),
+            (["invariants", "{inf_last}"], "DomainError"),
+            (["invariants", "{nan_fifth}"], "DomainError"),
+            (["wavetrace", "{inf_last}", "--t-lo", "0.5", "--t-hi", "3"], "DomainError"),
+            (["wavetrace", "{nan_fifth}", "--t-lo", "0.5", "--t-hi", "3"], "DomainError"),
+            (["reconstruct", "{inf_last}"], "DomainError"),
+            (["reconstruct", "{nan_fifth}"], "DomainError"),
             (["wavetrace", "{header_only}", "--t-lo", "1.5", "--t-hi", "2.5",
               "--probe-t0", "2.0", "--probe-out", "{probe}"], "DomainError"),
             (["wavetrace", "{square_csv}", "--t-lo", "1.5", "--t-hi", "4.5", "--sigma", "0"],
@@ -202,7 +212,10 @@ class TestMalformedInput:
         ids=["spectrum-N-n0", "spectrum-D-negative-n", "spectrum-mesh-size-negative",
              "spectrum-mesh-size-0", "spectrum-mesh-size-nan", "spectrum-coarsest-element-too-long",
              "invariants-unknown-bc-tag",
-             "invariants-header-only", "invariants-no-domain-field", "wavetrace-header-only",
+             "invariants-header-only", "invariants-no-domain-field",
+             "invariants-inf-eigenvalue", "invariants-nan-eigenvalue",
+             "wavetrace-inf-eigenvalue", "wavetrace-nan-eigenvalue",
+             "reconstruct-inf-eigenvalue", "reconstruct-nan-eigenvalue", "wavetrace-header-only",
              "wavetrace-sigma-0", "wavetrace-sigma-negative", "wavetrace-sigma-nan",
              "wavetrace-threshold-nan", "wavetrace-probe-t0-negative",
              "reconstruct-sigma-0", "spectrum-nan-side", "spectrum-null-side",

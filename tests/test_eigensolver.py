@@ -646,3 +646,22 @@ class TestSpectrumIO:
         assert np.array_equal(s.accuracy, [0.1, 0.3, 0.2])
         with pytest.raises(DomainError):
             Spectrum(np.array([1.0, 2.0]), DIRICHLET, accuracy=np.array([0.1, 0.2, 0.3]))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_eigenvalue_rejected(self, bad):
+        s = exact_rectangle_spectrum(1, 1.3, 20)
+        ev = s.eigenvalues.copy()
+        ev[4] = bad
+        with pytest.raises(DomainError, match="eigenvalue 4 is .*must be finite"):
+            Spectrum(ev, DIRICHLET)
+        lines = s.to_csv().splitlines()
+        lines[5] = str(bad)
+        with pytest.raises(DomainError, match="must be finite"):
+            Spectrum.from_csv("\n".join(lines))
+        d = json.loads(s.to_json())
+        d["eigenvalues"][4] = bad
+        with pytest.raises(DomainError, match="must be finite"):
+            Spectrum.from_json(json.dumps(d))
+        # an unknown accuracy stays allowed: a one-level spectrum has none
+        unknown = Spectrum(s.eigenvalues, DIRICHLET, accuracy=np.full(20, np.nan))
+        assert np.all(np.isnan(unknown.accuracy))

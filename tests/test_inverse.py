@@ -601,6 +601,97 @@ class TestDecisionWalk:
             self._walk(monkeypatch, (None, "diffractive", None, "diffractive"), True)
 
 
+class TestSolverFailureRule:
+    """One rule for solver failures in scan_and_reconstruct, on scripted walks.
+
+    NoSolution, NonUniqueSolution, InconsistentInvariants and DomainError
+    from any solver reject that hypothesis alone; any other error propagates.
+    """
+
+    REJECTED = [NoSolution, NonUniqueSolution, InconsistentInvariants, DomainError]
+    # an ambiguous first reading at 1.0 proposes the band solves at 2h = 1.0
+    # and, over a window without a reading, the right angle; an ambiguous
+    # window reading at 1.3 proposes the LFThen2h solves and LFThen2hAlpha
+    WALKS = {
+        "ambiguous-then-nothing": (("ambiguous", None, None, "band"), _first(1.0) + _RIGHT),
+        "isolated-then-ambiguous": (
+            ("isolated", "ambiguous", "band", "band"), _lf_then_2h(1.3, 1.0) + _ALPHA,
+        ),
+    }
+
+    def _walk(self, monkeypatch, labels, failing, error):
+        """Run the walk; call k returns a trapezoid with B = 2 + k/100, except
+        the first call to the failing solver, which raises error."""
+        calls = []
+
+        def recorder(short):
+            def solve(*args, **kwargs):
+                k = len(calls)
+                calls.append(short)
+                if short == failing and calls.count(short) == 1:
+                    raise error("scripted failure")
+                trap = new_trapezoid(B=2 + 0.01 * k, h=1, alpha=1.3, beta=1.1)
+                return [trap] if short == "right" else trap
+
+            return solve
+
+        for name, short in TestDecisionWalk.SOLVERS.items():
+            monkeypatch.setattr(inverse, name, recorder(short))
+        label_of = dict(zip(WALK_PEAKS, labels))
+        monkeypatch.setattr(
+            inverse, "fit_invariants",
+            lambda *a, **k: SimpleNamespace(area=2.0, perimeter=6.0, q_estimate=1.0),
+        )
+        monkeypatch.setattr(
+            inverse, "scan_peaks",
+            lambda *a, **k: [SingularityCandidate(t0=t, amplitude=1.0) for t in WALK_PEAKS],
+        )
+        monkeypatch.setattr(inverse, "_classified", lambda spec, cand, sigma: label_of[cand.t0])
+        monkeypatch.setattr(
+            inverse, "_invariant_residuals",
+            lambda *a: {"areaRel": 0.0, "perimeterRel": 0.0, "qRel": 0.0},
+        )
+        monkeypatch.setattr(inverse, "_unmatched_peaks", lambda *a: [])
+        report = scan_and_reconstruct(
+            exact_rectangle_spectrum(1, 1, 10), ReconstructConfig(min_eigenvalues=1)
+        )
+        return report, calls
+
+    @pytest.mark.parametrize("error", REJECTED, ids=lambda e: e.__name__)
+    @pytest.mark.parametrize(
+        "walk,failing",
+        [
+            ("ambiguous-then-nothing", "h"),
+            ("ambiguous-then-nothing", "hb"),
+            ("ambiguous-then-nothing", "hlf"),
+            ("ambiguous-then-nothing", "right"),
+            ("isolated-then-ambiguous", "hlf"),
+            ("isolated-then-ambiguous", "lfha"),
+        ],
+    )
+    def test_rejects_only_that_hypothesis(self, monkeypatch, walk, failing, error):
+        labels, attempted = self.WALKS[walk]
+        report, calls = self._walk(monkeypatch, labels, failing, error)
+        assert calls == [short for _, short in attempted]
+        dropped = calls.index(failing)
+        hyps = [(report.branch, report.trapezoid)]
+        hyps += [(b, t) for b, t, _ in report.alternatives]
+        made = [round((t.B - 2) / 0.01) for _, t in hyps]
+        assert made == [k for k in range(len(attempted)) if k != dropped]
+        assert [b for b, _ in hyps] == [attempted[k][0] for k in made]
+
+    def test_other_errors_propagate(self, monkeypatch):
+        labels, _ = self.WALKS["ambiguous-then-nothing"]
+        with pytest.raises(ZeroDivisionError):
+            self._walk(monkeypatch, labels, "hb", ZeroDivisionError)
+
+    def test_right_angle_domain_error_is_a_rejection(self, monkeypatch):
+        # solve_alpha_right raises DomainError on a fitted A or L <= 0; on the
+        # isolated-then-nothing walk it is the only hypothesis
+        with pytest.raises(AmbiguousClassification):
+            self._walk(monkeypatch, ("isolated", None, "isolated", "band"), "right", DomainError)
+
+
 class TestIsospectralConsistency:
     def test_congruent(self):
         t = new_trapezoid(B=2, h=1, alpha=math.radians(75), beta=math.radians(60))

@@ -8,9 +8,12 @@ shape outside the criterion with no error is a silently wrong answer.
 
 test_outputs_pinned compares each unperturbed reconstruction with
 tests/data/stored_reconstruct.json: the branch or the exception class, the
-primary shape and its unmatched peaks, to a relative 1e-9. A change may
-rewrite that file (`python tests/test_stored_spectra.py`) only together with
-a CHANGES.md entry that names the output change.
+ambiguity flag, the primary shape with its residuals and unmatched peaks,
+each evidence candidate's time and order, and each alternative's branch and
+shape. Floats agree to a relative 1e-9; those past the primary shape and its
+unmatched peaks, which can be exactly 0, also to an absolute 1e-12. A change
+may rewrite that file (`python tests/test_stored_spectra.py`) only together
+with a CHANGES.md entry that names the output change.
 """
 
 import hashlib
@@ -77,17 +80,44 @@ def test_right_or_raises(name):
 
 
 def _outputs(name) -> dict:
-    """What test_outputs_pinned compares: the error class, or the branch, the
-    primary shape's parameters and its unmatched peaks."""
+    """What test_outputs_pinned compares: the error class, or the report's
+    branch, primary shape, unmatched peaks, ambiguity flag, residuals,
+    evidence readings and alternative shapes."""
     try:
         report = scan_and_reconstruct(_spectrum(ENTRIES[name]))
     except TrapspecError as exc:
         return {"error": type(exc).__name__}
-    shape = json.loads(report.to_json())["shape"]
+    out = json.loads(report.to_json())
     return {
-        "branch": report.branch, **shape,
+        "branch": report.branch, **out["shape"],
         "unmatchedPeaks": report.residuals.get("unmatchedPeaks"),
+        "ambiguous": report.ambiguous,
+        "evidence": [
+            {"t0": c["t0"], "order": c["order"], "orderCi": c["orderCi"]}
+            for c in out["evidence"]
+        ],
+        **{key: report.residuals.get(key) for key in ("areaRel", "perimeterRel", "qRel")},
+        "alternatives": [{"branch": a["branch"], **a["shape"]} for a in out["alternatives"]],
     }
+
+
+# compared at a relative 1e-9 alone, as before the report was pinned in full
+_RELATIVE_ONLY = {"a", "c", "B", "h", "alpha", "beta", "unmatchedPeaks"}
+
+
+def _assert_close(got, want, where, abs_tol):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key, value in want.items():
+            _assert_close(got[key], value, f"{where}.{key}", abs_tol)
+    elif isinstance(want, list):
+        assert len(got) == len(want), (where, got, want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]", abs_tol)
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=abs_tol), (where, got, want)
+    else:
+        assert got == want, (where, got, want)
 
 
 @pytest.mark.parametrize("name", list(ENTRIES))
@@ -96,13 +126,7 @@ def test_outputs_pinned(name):
     got = _outputs(name)
     assert got.keys() == want.keys()
     for key, value in want.items():
-        if isinstance(value, float):
-            assert math.isclose(got[key], value, rel_tol=1e-9), (key, got[key], value)
-        elif isinstance(value, list):
-            assert len(got[key]) == len(value), (key, got[key], value)
-            assert all(math.isclose(g, w, rel_tol=1e-9) for g, w in zip(got[key], value)), key
-        else:
-            assert got[key] == value, key
+        _assert_close(got[key], value, key, 0.0 if key in _RELATIVE_ONLY else 1e-12)
 
 
 if __name__ == "__main__":
