@@ -72,10 +72,12 @@ class Spectrum:
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
+        if len(ev) == 0:
+            raise DomainError("a spectrum needs at least one eigenvalue")
         bad = np.flatnonzero(~np.isfinite(ev))
         if len(bad):
             raise DomainError(f"eigenvalue {bad[0]} is {ev[bad[0]]}; eigenvalues must be finite")
-        if np.any(np.diff(ev) < -1e-9 * max(1.0, abs(ev[-1]) if len(ev) else 1.0)):
+        if np.any(np.diff(ev) < -1e-9 * max(1.0, abs(ev[-1]))):
             raise DomainError("eigenvalues must be sorted ascending")
         order = np.argsort(ev, kind="stable")  # each accuracy stays with its eigenvalue
         self.eigenvalues = ev[order]
@@ -99,9 +101,7 @@ class Spectrum:
             if self.source_domain is not None
             else "null"
         )
-        acc = (
-            float(np.max(self.accuracy)) if self.accuracy is not None and len(self.accuracy) else ""
-        )
+        acc = float(np.max(self.accuracy)) if self.accuracy is not None else ""
         bc = "D" if self.boundary_condition == DIRICHLET else "N"
         buf = io.StringIO()
         buf.write(f"# bc={bc} domain={dom} accuracy={acc}\n")

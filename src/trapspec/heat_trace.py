@@ -101,7 +101,7 @@ def fit_invariants(
     if t_window is None:
         t_window = default_t_window(spectrum)
     t_min, t_max = t_window
-    if not (0 < t_min < t_max):
+    if not (0 < t_min < t_max < math.inf):
         raise WindowTooNarrow(f"invalid window {t_window}")
 
     # auto-shrink: enforce the truncation-tail precondition at t_min

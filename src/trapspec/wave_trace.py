@@ -10,16 +10,18 @@ which grows like k^a when t0 is a singularity of order a. Orders separate
 orbit classes: +1/2 for bands, 0 for isolated odd-period orbits, negative
 for diffractive lengths.
 
-Both sums are evaluated from factored phases, each a product of at most two
-directly evaluated exponentials, so the rounding error does not grow with
-the grid length. A profile over T uniform times splits each time index into
-a block of about sqrt(T) steps and an offset within it: about 2 sqrt(T) N
-complex exponentials and one small complex matrix product instead of T N
-exponentials. A profile over K frequencies uses
+Both sums are evaluated from factored phases. A profile over T uniform
+times splits each time index into a block of about sqrt(T) steps and an
+offset within it. Three complex exponentials per eigenvalue give the first
+phase and the one-step and one-block factors; running products of those
+give the rest, and one small complex matrix product sums them, instead of
+T N exponentials. A profile over K frequencies uses
 exp(i (mu - k) t0) = exp(i mu t0) exp(-i k t0): N + K complex exponentials
 and one real K x N Gaussian matrix. Both agree with the direct sums within
-1e-12 of the profile's maximum, the size of either evaluation's own
-rounding error where the sum cancels.
+1e-12 of the profile's maximum. Against an 80-bit direct sum the time
+profile is off by 0.5-1.5e-14 of its maximum on the pipeline's grids (81
+to 170 times) and 1-3e-13 at 2000, as much as a float64 direct sum: the
+error comes from rounding the phases t d, not from the running products.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ CLASS_MARGIN = 0.25
 AMBIGUITY_BAND = 0.05  # distance to a class boundary that triggers "ambiguous"
 DEFAULT_SIGMA = 0.15  # window width when none is configured
 PEAK_THRESHOLD = 5.0  # scan peaks must exceed this multiple of the background
+MAX_GRID_POINTS = 10**6  # desk-scale cap on a scan grid; the pipeline's hold 80-170
 
 
 @dataclass
@@ -107,7 +110,29 @@ def _background(amplitudes: np.ndarray) -> float:
     the floor is kept at no less than 1/1000 of the profile's maximum.
     """
     vals = np.asarray(amplitudes, dtype=float)
-    return max(float(np.quantile(vals, 0.25)), float(vals.max()) / 1000.0)
+    # np.quantile(vals, 0.25) with its "linear" rule, from the two order
+    # statistics it reads: bit-identical, without its sort-and-index setup
+    pos = 0.25 * (len(vals) - 1)
+    lo = math.floor(pos)
+    hi = min(lo + 1, len(vals) - 1)
+    part = np.partition(vals, (lo, hi))
+    a, b = float(part[lo]), float(part[hi])
+    g = pos - lo
+    quartile = a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+    return max(quartile, float(vals.max()) / 1000.0)
+
+
+def _running_powers(first, ratio: np.ndarray, rows: int) -> np.ndarray:
+    """(rows x N) complex array whose row j is first * ratio**j, by running products.
+
+    Row by row: np.multiply.accumulate along axis 0 builds the same rows, up
+    to rounding, but took 4-6 times as long for 9-13 rows of 800 modes.
+    """
+    out = np.empty((rows, len(ratio)), dtype=complex)
+    out[0] = first
+    for j in range(1, rows):
+        np.multiply(out[j - 1], ratio, out=out[j])
+    return out
 
 
 def _abs_i_on_grid(
@@ -116,16 +141,20 @@ def _abs_i_on_grid(
     """|I(k_ref)| at the times t_lo + k * step, k < count.
 
     Each index is split as k = a * b + j with b = isqrt(count), so
-    exp(i t_k d) = exp(i (t_lo + a b step) d) * exp(i j step d) and the
-    profile is one (nb x N) @ (N x b) product of directly evaluated phases.
+    exp(i t_k d) = exp(i t_lo d) Z^a * z^j with z = exp(i step d) and
+    Z = exp(i b step d), and the profile is one (nb x N) @ (N x b) product.
+    Three exponentials per mode are evaluated; the rows z^j and
+    gauss exp(i t_lo d) Z^a are running products, whose error stays below
+    that of rounding the phases t d (see the module docstring).
     """
     mu = np.sqrt(spectrum.eigenvalues)
     d = mu - k_ref
-    gauss = np.exp(-0.5 * sigma**2 * d**2)
     b = math.isqrt(count)
     nb = -(-count // b)
-    outer = gauss * np.exp(1j * np.outer(t_lo + b * np.arange(nb) * step, d))
-    inner = np.exp(1j * np.outer(np.arange(b) * step, d))
+    inner = _running_powers(1.0, np.exp(1j * step * d), b)
+    outer = _running_powers(
+        np.exp(-0.5 * sigma**2 * d**2) * np.exp(1j * t_lo * d), np.exp(1j * (b * step) * d), nb
+    )
     sums = (outer @ inner.T).ravel()[:count]
     return sigma * math.sqrt(2 * math.pi) * np.abs(sums)
 
@@ -138,19 +167,24 @@ def scan_peaks(
 ) -> list[SingularityCandidate]:
     """Local maxima of |I(k_ref)| over a t-grid, above threshold x background.
 
-    k_ref is half of sqrt(lambda_N) and the grid step is sigma/4.
+    k_ref is half of sqrt(lambda_N) and the grid step is sigma/4; a grid of
+    more than MAX_GRID_POINTS times is refused before anything is allocated.
     """
     t_lo, t_hi = t_range
-    if not (0 < t_lo < t_hi):
-        raise DomainError("t_range must be positive and increasing")
+    if not (0 < t_lo < t_hi < math.inf):
+        raise DomainError("t_range must be positive, finite and increasing")
     if not 0 < sigma < math.inf:
         raise DomainError("sigma must be positive and finite")
     if not 0 <= threshold < math.inf:
         raise DomainError("threshold must be finite and non-negative")
-    if spectrum.count == 0:
-        return []
-    k_ref = 0.5 * math.sqrt(spectrum.eigenvalues[-1])
     step = sigma / 4.0
+    # np.arange below holds ceil((t_hi + step/2 - t_lo) / step) points
+    if not (step > 0 and (t_hi + step / 2 - t_lo) / step <= MAX_GRID_POINTS):
+        raise DomainError(
+            f"a step of sigma/4 = {step:.3g} over {t_range} needs more than "
+            f"{MAX_GRID_POINTS} grid points"
+        )
+    k_ref = 0.5 * math.sqrt(spectrum.eigenvalues[-1])
     ts = np.arange(t_lo, t_hi + step / 2, step)
     amp = _abs_i_on_grid(spectrum, t_lo, step, len(ts), sigma, k_ref)
     floor = threshold * _background(amp)

@@ -202,6 +202,15 @@ class TestMalformedInput:
             (["wavetrace", "{square_csv}", "--t-lo", "1.5", "--t-hi", "4.5",
               "--probe-t0", "-1", "--probe-out", "{probe}"], "DomainError"),
             (["reconstruct", "{trapezoid_csv}", "--sigma", "0"], "DomainError"),
+            (["wavetrace", "{square_csv}", "--t-lo", "1.5", "--t-hi", "inf"], "DomainError"),
+            (["wavetrace", "{square_csv}", "--t-lo", "1.5", "--t-hi", "4.5", "--sigma", "1e-300"],
+             "DomainError"),
+            (["reconstruct", "{square_csv}", "--sigma", "1e-300", "--rect-tol", "0"],
+             "DomainError"),
+            (["invariants", "{square_csv}", "--t-min", "0.01", "--t-max", "inf"],
+             "WindowTooNarrow"),
+            (["reconstruct", "{square_csv}", "--fit-t-min", "0.01", "--fit-t-max", "inf"],
+             "WindowTooNarrow"),
             (["spectrum", "{nan_side}", "--exact", "--n", "10"], "ValueError"),
             (["spectrum", "{null_side}", "--exact", "--n", "10"], "ValueError"),
             (["orbits", "{null_angle}", "--lmax", "3"], "ValueError"),
@@ -218,7 +227,9 @@ class TestMalformedInput:
              "reconstruct-inf-eigenvalue", "reconstruct-nan-eigenvalue", "wavetrace-header-only",
              "wavetrace-sigma-0", "wavetrace-sigma-negative", "wavetrace-sigma-nan",
              "wavetrace-threshold-nan", "wavetrace-probe-t0-negative",
-             "reconstruct-sigma-0", "spectrum-nan-side", "spectrum-null-side",
+             "reconstruct-sigma-0", "wavetrace-t-hi-inf", "wavetrace-grid-too-large",
+             "reconstruct-grid-too-large", "invariants-t-max-inf", "reconstruct-fit-t-max-inf",
+             "spectrum-nan-side", "spectrum-null-side",
              "orbits-null-angle", "orbits-null-vertex", "orbits-lmax-inf",
              "orbits-lmax-nan"],
     )

@@ -6,6 +6,7 @@ import pytest
 
 from trapspec.eigensolver import DIRICHLET, NEUMANN, Spectrum, exact_rectangle_spectrum
 from trapspec.errors import TruncationWarning, WindowTooNarrow
+from trapspec import heat_trace
 from trapspec.geometry import Q_RECTANGLE
 from trapspec.heat_trace import (
     default_t_window,
@@ -85,6 +86,14 @@ class TestFitInvariants:
     def test_window_collapse_raises(self, square_d):
         with pytest.raises(WindowTooNarrow):
             fit_invariants(square_d, t_window=(1e-7, 2e-7))
+
+    @pytest.mark.parametrize(
+        "window", [(0.01, math.inf), (0.0, 0.01), (-0.01, 0.01), (0.02, 0.01), (math.nan, 0.01)]
+    )
+    def test_invalid_window_rejected(self, square_d, window, monkeypatch):
+        monkeypatch.setattr(heat_trace, "_partial_sums", None)  # raised before any sum
+        with pytest.raises(WindowTooNarrow, match="invalid window"):
+            fit_invariants(square_d, t_window=window)
 
     def test_default_window_sane(self, square_d):
         lo, hi = default_t_window(square_d)

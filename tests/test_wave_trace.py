@@ -22,10 +22,8 @@ from trapspec.wave_trace import (
 )
 
 SIGMA = 0.15
-STORED = sorted(
-    p for p in (Path(__file__).parents[1] / "perfbench" / "data").glob("*.json")
-    if p.name != "manifest.json"
-)
+DATA = Path(__file__).parents[1] / "perfbench" / "data"
+STORED = sorted(p for p in DATA.glob("*.json") if p.name != "manifest.json")
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +95,41 @@ class TestFactoredKernels:
         # counts whose blocked reshape is trimmed or degenerate, from a peak
         for count in (1, 2, 3, 127):
             self._check_grid(spectrum, peaks[0].t0, step, count, k_ref)
+
+    @pytest.mark.skipif(
+        not np.finfo(np.longdouble).eps < 1e-18,
+        reason="needs an extended-precision long double for the reference sum",
+    )
+    @pytest.mark.parametrize("count", [81, 160, 2000])
+    @pytest.mark.parametrize("name", ["square", "band_2h_flagship"])
+    def test_grid_against_extended_precision(self, name, count, square5000):
+        # a float64 direct sum is itself off by more than 1e-12 at 2000 points
+        spectrum = square5000 if name == "square" else _stored_spectrum(DATA / f"{name}.json")
+        ld = np.longdouble
+        k_ref = 0.5 * math.sqrt(spectrum.eigenvalues[-1])
+        step = SIGMA / 4
+        ts = ld(SCAN_T_START) + ld(step) * np.arange(count, dtype=ld)
+        d = np.sqrt(spectrum.eigenvalues.astype(ld)) - ld(k_ref)
+        gauss = np.exp(ld(-0.5) * ld(SIGMA) ** 2 * d**2)
+        phase = np.outer(ts, d)
+        want = np.hypot(np.cos(phase) @ gauss, np.sin(phase) @ gauss)
+        want = (SIGMA * math.sqrt(2 * math.pi) * want).astype(float)
+        self._close(
+            wave_trace._abs_i_on_grid(spectrum, SCAN_T_START, step, count, SIGMA, k_ref), want
+        )
+
+    def test_background_is_numpy_quartile(self):
+        rng = np.random.default_rng(29)
+        for n in range(1, 401):
+            # octaves 2^-4..2^4 keep the quartile above the max/1000 floor,
+            # where a wrong interpolation rounding shows
+            octaves = (1 + rng.random(n)) * 2.0 ** rng.integers(-4, 5, n)
+            mixed = rng.random(n) * 10.0 ** rng.uniform(-3, 6, n)
+            ties = rng.integers(0, 4, n) * 10.0 ** rng.integers(-3, 7)
+            for vals in (octaves, mixed, ties, np.round(mixed, 1)):
+                want = max(np.quantile(vals, 0.25), vals.max() / 1000)
+                got = wave_trace._background(vals)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @pytest.mark.parametrize("path", STORED, ids=[p.stem for p in STORED])
     def test_reconstruction_unchanged(self, path, monkeypatch):
@@ -188,17 +221,32 @@ class TestScanPeaks:
         assert abs(t0s[1] - 2 * math.sqrt(2)) < 0.05
 
     def test_empty_spectrum(self):
-        s = Spectrum(eigenvalues=np.array([]), boundary_condition=DIRICHLET)
-        assert scan_peaks(s, (1.0, 2.0), SIGMA) == []
+        # no spectrum to scan is empty: the constructor and the JSON reader refuse it
+        with pytest.raises(DomainError, match="at least one eigenvalue"):
+            Spectrum(eigenvalues=np.array([]), boundary_condition=DIRICHLET)
+        with pytest.raises(DomainError, match="at least one eigenvalue"):
+            Spectrum.from_json(json.dumps({"bc": DIRICHLET, "eigenvalues": [], "accuracy": []}))
 
     def test_bad_range(self, square5000):
-        with pytest.raises(DomainError):
-            scan_peaks(square5000, (2.0, 1.0), SIGMA)
+        for t_range in ((2.0, 1.0), (0.0, 1.0), (1.5, math.inf), (1.5, math.nan)):
+            with pytest.raises(DomainError):
+                scan_peaks(square5000, t_range, SIGMA)
 
-    @pytest.mark.parametrize("sigma", [0.0, -0.1, math.nan])
+    # 1e-300 asks for 1.2e301 grid points and 5e-324 gives a zero step; both
+    # are refused before anything is allocated. Widths such as 1e-9, whose
+    # grid numpy would try to allocate, are left to test_grid_cap_is_inclusive.
+    @pytest.mark.parametrize("sigma", [0.0, -0.1, math.nan, math.inf, 1e-300, 5e-324])
     def test_bad_sigma(self, square5000, sigma):
         with pytest.raises(DomainError):
-            scan_peaks(square5000, (1.5, 3.5), sigma)
+            scan_peaks(square5000, (1.5, 4.5), sigma)
+
+    def test_grid_cap_is_inclusive(self, square5000, monkeypatch):
+        # 1.5 + 40 steps of 0.0375 reaches 3.0: a 41-point grid
+        monkeypatch.setattr(wave_trace, "MAX_GRID_POINTS", 41)
+        scan_peaks(square5000, (1.5, 3.0), SIGMA)
+        monkeypatch.setattr(wave_trace, "MAX_GRID_POINTS", 40)
+        with pytest.raises(DomainError, match="more than 40 grid points"):
+            scan_peaks(square5000, (1.5, 3.0), SIGMA)
 
     @pytest.mark.parametrize("threshold", [math.nan, -1.0, math.inf])
     def test_bad_threshold(self, square5000, threshold):
