@@ -20,6 +20,7 @@ from .eigensolver import DIRICHLET, Spectrum
 TAIL_WARN_FRACTION = 1e-6
 TAIL_FIT_FRACTION = 1e-8
 CONDITION_CAP = 1e12
+MAX_GRID_SIZE = 1000  # desk-scale cap on the fit grid, 25x the default 40
 
 
 @dataclass
@@ -94,10 +95,11 @@ def fit_invariants(
     The window's lower end is pushed up until the Weyl tail estimate is below
     1e-8 of the trace value there; the adjusted window is recorded in the
     result. Weights are proportional to t, equalizing relative error across
-    the geometric t-grid.
+    the geometric t-grid, which holds grid_size times: at least 20, and at
+    most MAX_GRID_SIZE, since each time sums over every eigenvalue.
     """
-    if grid_size < 20:
-        raise ValueError("grid_size must be >= 20")
+    if not 20 <= grid_size <= MAX_GRID_SIZE:
+        raise ValueError(f"grid_size must be between 20 and {MAX_GRID_SIZE}, got {grid_size}")
     if t_window is None:
         t_window = default_t_window(spectrum)
     t_min, t_max = t_window

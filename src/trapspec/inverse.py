@@ -11,9 +11,12 @@ isolated orbits and shows 2h (order +1/2), 2h_alpha (order -1/2), or
 nothing, which forces alpha = pi/2. _proposals turns the readings into
 solver calls, both branches of an ambiguous reading, and _judge
 cross-validates the shapes they return against the invariants and the
-observed peaks. One rule covers solver failures: NoSolution,
-NonUniqueSolution, InconsistentInvariants and DomainError reject the
-hypothesis, and any other error propagates.
+observed peaks. A peak passes when some closed geodesic lies within 2 sigma
+of it: closed vertex chains and on-edge orbits are tried first, and orbit
+corridors are walked only for the peaks they leave unmatched. One rule
+covers solver failures: NoSolution, NonUniqueSolution,
+InconsistentInvariants and DomainError reject the hypothesis, and any other
+error propagates.
 
 Each height-based branch closes with one angle equation on the level set
 F(alpha) + F(beta) = q, and all of them share one root rule: scan alpha on
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .billiards import length_spectrum
+from .billiards import enumerate_orbits, length_spectrum
 from .errors import (
     AmbiguousClassification,
     BudgetExceeded,
@@ -54,6 +57,7 @@ from .geometry import (
     corner_f_inverse,
     new_trapezoid,
     orbit_catalog,
+    vertices,
 )
 from .heat_trace import fit_invariants
 from .wave_trace import (
@@ -512,26 +516,44 @@ def _invariant_residuals(trap: Trapezoid, A: float, L: float, q: float) -> dict:
     }
 
 
-def _unmatched_peaks(trap: Trapezoid, peaks, tol: float, period_max: int):
-    """Observed peak times with no enumerated orbit length within tol.
+def _unmatched(times, lengths, tol: float) -> list:
+    """The times with no length within tol."""
+    return [t for t in times if len(lengths) == 0 or np.min(np.abs(lengths - t)) > tol]
 
-    Orbits are enumerated up to the longest peak plus tol, since no longer
-    length can match a peak; with no peaks nothing is enumerated. When the
-    enumeration exhausts its budget, peaks are scored against the orbits it
-    found before stopping.
+
+def _unmatched_peaks(trap: Trapezoid, peaks, tol: float, period_max: int):
+    """Observed peak times with no closed-geodesic length within tol.
+
+    The cheap evidence comes first: the conical lengths (closed vertex
+    chains and on-edge orbits) up to the longest peak plus tol, from
+    length_spectrum with period_max=1, where no reflection word is long
+    enough to close. Only the peaks those leave unmatched send the periodic
+    orbits (the corridor walks) to period_max, up to the longest of them plus
+    tol: no longer length can match one, and a shorter search is a prefix of
+    the longer. With no peaks nothing is enumerated. When a search exhausts
+    its budget, peaks are scored against the records it found before
+    stopping.
+
+    The answer is that of one length_spectrum call to period_max, except
+    that lengths within 1e-9 relative of each other are merged only within
+    each search, not across both: a peak's verdict can differ only when its
+    distance to some length is within about 1e-9 times that length of tol.
     """
     if not peaks:
         return []
-    lmax = max(c.t0 for c in peaks) + tol
+    times = [c.t0 for c in peaks]
     try:
-        lengths = length_spectrum(trap, lmax, period_max=period_max).lengths
+        lengths = length_spectrum(trap, max(times) + tol, period_max=1).lengths
     except BudgetExceeded as exc:
         lengths = np.array([o.length for o in exc.partial])
-    out = []
-    for c in peaks:
-        if len(lengths) == 0 or np.min(np.abs(lengths - c.t0)) > tol:
-            out.append(c.t0)
-    return out
+    left = _unmatched(times, lengths, tol)
+    if not left:
+        return []
+    try:
+        orbits = enumerate_orbits(vertices(trap), max(left) + tol, period_max)
+    except BudgetExceeded as exc:
+        orbits = exc.partial
+    return _unmatched(left, np.array([o.length for o in orbits]), tol)
 
 
 def _classified(spectrum, cand: SingularityCandidate, sigma: float):
@@ -677,6 +699,13 @@ def scan_and_reconstruct(
     reported, with the best-residual one as the primary shape.
     """
     cfg = config or ReconstructConfig()
+    # NaN passes every comparison gate below as false and ends in the report
+    for name in ("rectangle_q_tol", "invariant_rel_tol"):
+        value = getattr(cfg, name)
+        if not 0 <= value < math.inf:
+            raise DomainError(f"{name} must be finite and non-negative, got {value}")
+    if cfg.sigma is not None and not 0 < cfg.sigma < math.inf:
+        raise DomainError(f"sigma must be positive and finite, got {cfg.sigma}")
     if spectrum.count < cfg.min_eigenvalues:
         raise DomainError(
             f"need at least {cfg.min_eigenvalues} eigenvalues, got {spectrum.count}"

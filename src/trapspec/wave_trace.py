@@ -188,14 +188,15 @@ def scan_peaks(
     ts = np.arange(t_lo, t_hi + step / 2, step)
     amp = _abs_i_on_grid(spectrum, t_lo, step, len(ts), sigma, k_ref)
     floor = threshold * _background(amp)
+    mid = amp[1:-1]
+    peak = (mid >= amp[:-2]) & (mid > amp[2:]) & (mid > floor)
     out = []
-    for i in range(1, len(ts) - 1):
-        if amp[i] >= amp[i - 1] and amp[i] > amp[i + 1] and amp[i] > floor:
-            # parabolic sub-grid refinement of the peak location
-            denom = amp[i - 1] - 2 * amp[i] + amp[i + 1]
-            shift = 0.5 * (amp[i - 1] - amp[i + 1]) / denom if denom < 0 else 0.0
-            t_peak = ts[i] + np.clip(shift, -1, 1) * step
-            out.append(SingularityCandidate(t0=float(t_peak), amplitude=float(amp[i])))
+    for i in np.flatnonzero(peak) + 1:
+        # parabolic sub-grid refinement of the peak location
+        denom = amp[i - 1] - 2 * amp[i] + amp[i + 1]
+        shift = 0.5 * (amp[i - 1] - amp[i + 1]) / denom if denom < 0 else 0.0
+        t_peak = ts[i] + np.clip(shift, -1, 1) * step
+        out.append(SingularityCandidate(t0=float(t_peak), amplitude=float(amp[i])))
     return out
 
 

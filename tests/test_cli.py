@@ -122,6 +122,10 @@ class TestSpectrumCommand:
         assert not out.exists()
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestMalformedInput:
     """Bad counts and spectrum files exit 1 with a JSON error, never a traceback."""
 
@@ -217,6 +221,12 @@ class TestMalformedInput:
             (["orbits", "{null_vertex}", "--lmax", "3"], "DomainError"),
             (["orbits", "{square}", "--lmax", "inf"], "DomainError"),
             (["orbits", "{square}", "--lmax", "nan"], "DomainError"),
+            (["invariants", "{square_csv}", "--grid-size", "10000000000000"], "ValueError"),
+            (["reconstruct", "{square_csv}", "--tol", "nan"], "DomainError"),
+            (["reconstruct", "{square_csv}", "--tol", "-1"], "DomainError"),
+            (["reconstruct", "{square_csv}", "--sigma", "nan"], "DomainError"),
+            (["reconstruct", "{square_csv}", "--rect-tol", "nan"], "DomainError"),
+            (["reconstruct", "{square_csv}", "--rect-tol", "-1"], "DomainError"),
         ],
         ids=["spectrum-N-n0", "spectrum-D-negative-n", "spectrum-mesh-size-negative",
              "spectrum-mesh-size-0", "spectrum-mesh-size-nan", "spectrum-coarsest-element-too-long",
@@ -231,7 +241,9 @@ class TestMalformedInput:
              "reconstruct-grid-too-large", "invariants-t-max-inf", "reconstruct-fit-t-max-inf",
              "spectrum-nan-side", "spectrum-null-side",
              "orbits-null-angle", "orbits-null-vertex", "orbits-lmax-inf",
-             "orbits-lmax-nan"],
+             "orbits-lmax-nan", "invariants-grid-size-huge", "reconstruct-tol-nan",
+             "reconstruct-tol-negative", "reconstruct-sigma-nan", "reconstruct-rect-tol-nan",
+             "reconstruct-rect-tol-negative"],
     )
     def test_exits_1_with_json_error(
         self, argv, error, square_json, square_spectrum_csv, spectrum_files, domain_files,
@@ -244,7 +256,7 @@ class TestMalformedInput:
         out = tmp_path / "out"
         rc = main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
         assert rc == 1
-        err = json.loads(capsys.readouterr().err)
+        err = json.loads(capsys.readouterr().err, parse_constant=_not_json)
         assert err["error"] == error
         assert not out.exists()
         assert not Path(paths["probe"]).exists()

@@ -95,6 +95,16 @@ class TestFitInvariants:
         with pytest.raises(WindowTooNarrow, match="invalid window"):
             fit_invariants(square_d, t_window=window)
 
+    @pytest.mark.parametrize("grid_size", [19, heat_trace.MAX_GRID_SIZE + 1, 10**13])
+    def test_grid_size_out_of_range_rejected(self, square_d, grid_size, monkeypatch):
+        monkeypatch.setattr(heat_trace, "_partial_sums", None)  # raised before any sum
+        with pytest.raises(ValueError, match="grid_size"):
+            fit_invariants(square_d, grid_size=grid_size)
+
+    @pytest.mark.parametrize("grid_size", [20, heat_trace.MAX_GRID_SIZE])
+    def test_grid_size_bounds_accepted(self, square_d, grid_size):
+        assert fit_invariants(square_d, grid_size=grid_size).area == pytest.approx(1.0, rel=0.01)
+
     def test_default_window_sane(self, square_d):
         lo, hi = default_t_window(square_d)
         assert 1e-4 <= lo < hi <= 1e-1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from trapspec import inverse
-from trapspec.billiards import ClosedGeodesic
+from trapspec.billiards import ClosedGeodesic, LengthSpectrum, length_spectrum
 from trapspec.eigensolver import exact_rectangle_spectrum
 from trapspec.errors import (
     AmbiguousClassification,
@@ -22,6 +22,7 @@ from trapspec.geometry import (
     new_trapezoid,
     orbit_catalog,
     random_trapezoid,
+    vertices,
 )
 from trapspec.inverse import (
     Rectangle,
@@ -435,44 +436,136 @@ class TestScanAndReconstruct:
         report = scan_and_reconstruct(s, cfg)
         assert report.config["minEigenvalues"] == 500
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"rectangle_q_tol": math.nan}, {"rectangle_q_tol": -1.0}, {"rectangle_q_tol": math.inf},
+         {"invariant_rel_tol": math.nan}, {"invariant_rel_tol": -1.0},
+         {"invariant_rel_tol": math.inf}, {"sigma": math.nan}, {"sigma": 0.0},
+         {"sigma": -0.1}, {"sigma": math.inf}],
+        ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()),
+    )
+    def test_invalid_settings_rejected_before_the_fit(self, setting, monkeypatch):
+        monkeypatch.setattr(inverse, "fit_invariants", None)  # raised before the fit
+        with pytest.raises(DomainError, match=next(iter(setting))):
+            scan_and_reconstruct(exact_rectangle_spectrum(1, 1, 900), ReconstructConfig(**setting))
+
+    def test_zero_tolerances_reach_the_fit(self, monkeypatch):
+        class Fitted(Exception):
+            pass
+
+        def fit(*args, **kwargs):
+            raise Fitted
+
+        monkeypatch.setattr(inverse, "fit_invariants", fit)
+        cfg = ReconstructConfig(rectangle_q_tol=0.0, invariant_rel_tol=0.0)
+        with pytest.raises(Fitted):
+            scan_and_reconstruct(exact_rectangle_spectrum(1, 1, 900), cfg)
+
+
+def _one_call_unmatched(trap, times, tol, period_max):
+    """The one-call rule: peak times with no length of the full length
+    spectrum, up to the longest peak plus tol, within tol."""
+    lengths = length_spectrum(trap, max(times) + tol, period_max=period_max).lengths
+    return [t for t in times if len(lengths) == 0 or np.min(np.abs(lengths - t)) > tol]
+
 
 class TestUnmatchedPeaks:
     TRAP = new_trapezoid(B=2, h=1, alpha=math.radians(75), beta=math.radians(60))
-    PEAKS = [SingularityCandidate(t0=2.001, amplitude=1.0),
-             SingularityCandidate(t0=3.5, amplitude=1.0)]
+    ORBIT = ClosedGeodesic(
+        word=(0, 2), length=2.0, kind="band", parity="even",
+        basepoint=np.zeros(2), direction=np.array([0.0, 1.0]),
+    )
 
-    def test_budget_exceeded_scores_partial_orbits(self, monkeypatch):
-        orbit = ClosedGeodesic(
-            word=(0, 2), length=2.0, kind="band", parity="even",
-            basepoint=np.zeros(2), direction=np.array([0.0, 1.0]),
-        )
+    @staticmethod
+    def peaks(*times):
+        return [SingularityCandidate(t0=t, amplitude=1.0) for t in times]
 
-        def exhausted(*args, **kwargs):
-            raise BudgetExceeded("budget exhausted", partial=[orbit])
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Record each pass's (lmax, period_max) while running the real search."""
+        calls = {"length_spectrum": [], "enumerate_orbits": []}
+        spectrum, orbits = inverse.length_spectrum, inverse.enumerate_orbits
 
-        monkeypatch.setattr(inverse, "length_spectrum", exhausted)
-        assert inverse._unmatched_peaks(self.TRAP, self.PEAKS, 0.05, 12) == [3.5]
+        def pass1(trap, lmax, period_max):
+            calls["length_spectrum"].append((lmax, period_max))
+            return spectrum(trap, lmax, period_max=period_max)
 
-    def test_other_errors_propagate(self, monkeypatch):
-        def broken(*args, **kwargs):
+        def pass2(polygon, lmax, period_max):
+            calls["enumerate_orbits"].append((lmax, period_max))
+            return orbits(polygon, lmax, period_max)
+
+        monkeypatch.setattr(inverse, "length_spectrum", pass1)
+        monkeypatch.setattr(inverse, "enumerate_orbits", pass2)
+        return calls
+
+    def test_conical_lengths_settle_every_peak(self, calls):
+        # 2h = 2 and 2 h_alpha = 3.464 are closed vertex chains
+        assert inverse._unmatched_peaks(self.TRAP, self.peaks(3.5, 2.001), 0.05, 12) == []
+        assert calls == {"length_spectrum": [(3.5 + 0.05, 1)], "enumerate_orbits": []}
+
+    def test_corridors_up_to_the_longest_unmatched_peak(self, calls):
+        # no closed geodesic is shorter than 2h = 2
+        assert inverse._unmatched_peaks(self.TRAP, self.peaks(2.001, 1.0), 0.05, 12) == [1.0]
+        assert calls == {
+            "length_spectrum": [(2.001 + 0.05, 1)], "enumerate_orbits": [(1.0 + 0.05, 12)],
+        }
+
+    def test_no_peaks_enumerate_nothing(self, calls):
+        assert inverse._unmatched_peaks(self.TRAP, [], 0.05, 12) == []
+        assert calls == {"length_spectrum": [], "enumerate_orbits": []}
+
+    def test_matches_the_one_call_rule(self, calls):
+        """Catalog lengths, and for every other shape the catalog lengths that
+        do not exist plus two spurious peaks, against the full spectrum."""
+        rng = np.random.default_rng(30)
+        shapes = []
+        while len(shapes) < 40:
+            t = sample_trapezoid(rng)
+            scale = 2.5 / vertices(t).diameter
+            shapes.append(new_trapezoid(B=t.B * scale, h=t.h * scale, alpha=t.alpha, beta=t.beta))
+        corridor_walks = []
+        for i, trap in enumerate(shapes):
+            cat = orbit_catalog(trap)
+            times = [cat.two_h, cat.two_b]
+            for orbit in (cat.fagnano, cat.two_h_alpha):
+                if orbit.exists_inside or i % 2:
+                    times.append(orbit.length)
+            if i % 2:
+                times += rng.uniform(1.0, 5.0, 2).tolist()
+            times.sort()
+            for tol in (0.01, 0.05, 0.3):
+                before = len(calls["enumerate_orbits"])
+                got = inverse._unmatched_peaks(trap, self.peaks(*times), tol, 12)
+                assert got == _one_call_unmatched(trap, times, tol, 12), (trap, times, tol)
+                corridor_walks.append(len(calls["enumerate_orbits"]) > before)
+        assert any(corridor_walks) and not all(corridor_walks)
+
+    @pytest.mark.parametrize("exhausted", ["length_spectrum", "enumerate_orbits"])
+    def test_budget_exceeded_scores_partial_records(self, monkeypatch, exhausted):
+        """Either pass, out of budget, scores the peaks against what it found;
+        the other pass finds nothing, so only that record can match 2.001."""
+        def partial(*args, **kwargs):
+            raise BudgetExceeded("budget exhausted", partial=[self.ORBIT])
+
+        nothing = {
+            "length_spectrum": lambda *a, **k: LengthSpectrum(),
+            "enumerate_orbits": lambda *a: [],
+        }
+        nothing[exhausted] = partial
+        for name, search in nothing.items():
+            monkeypatch.setattr(inverse, name, search)
+        assert inverse._unmatched_peaks(self.TRAP, self.peaks(2.001, 3.5), 0.05, 12) == [3.5]
+
+    @pytest.mark.parametrize("broken", ["length_spectrum", "enumerate_orbits"])
+    def test_other_errors_propagate(self, monkeypatch, broken):
+        def fails(*args, **kwargs):
             raise DomainError("broken enumeration")
 
-        monkeypatch.setattr(inverse, "length_spectrum", broken)
+        # pass 1 finds nothing, so pass 2 runs
+        monkeypatch.setattr(inverse, "length_spectrum", lambda *a, **k: LengthSpectrum())
+        monkeypatch.setattr(inverse, broken, fails)
         with pytest.raises(DomainError):
-            inverse._unmatched_peaks(self.TRAP, self.PEAKS, 0.05, 12)
-
-    def test_enumerates_up_to_the_longest_peak(self, monkeypatch):
-        lmaxes, enumerate_ = [], inverse.length_spectrum
-
-        def recorded(trap, lmax, period_max):
-            lmaxes.append(lmax)
-            return enumerate_(trap, lmax, period_max=period_max)
-
-        monkeypatch.setattr(inverse, "length_spectrum", recorded)
-        inverse._unmatched_peaks(self.TRAP, self.PEAKS[::-1], 0.05, 12)
-        assert lmaxes == [3.5 + 0.05]
-        assert inverse._unmatched_peaks(self.TRAP, [], 0.05, 12) == []
-        assert lmaxes == [3.5 + 0.05]
+            inverse._unmatched_peaks(self.TRAP, self.peaks(2.001, 3.5), 0.05, 12)
 
 
 # scripted peak times of TestDecisionWalk: an l_F read at 1.0 opens the

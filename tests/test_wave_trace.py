@@ -212,7 +212,64 @@ class TestProbe:
         assert len(text.strip().splitlines()) == 4
 
 
+def _loop_peaks(amp, ts, step, floor):
+    """scan_peaks' candidates, tested one grid point at a time."""
+    out = []
+    for i in range(1, len(ts) - 1):
+        if amp[i] >= amp[i - 1] and amp[i] > amp[i + 1] and amp[i] > floor:
+            denom = amp[i - 1] - 2 * amp[i] + amp[i + 1]
+            shift = 0.5 * (amp[i - 1] - amp[i + 1]) / denom if denom < 0 else 0.0
+            t_peak = ts[i] + np.clip(shift, -1, 1) * step
+            out.append((float(t_peak), float(amp[i])))
+    return out
+
+
 class TestScanPeaks:
+    @staticmethod
+    def _check_against_loop(spectrum, t_range, threshold, monkeypatch, profile=None):
+        """scan_peaks against the point-by-point loop on the same profile:
+        the computed one, or `profile` cut to the grid's length."""
+        seen, grid = [], wave_trace._abs_i_on_grid
+
+        def abs_i(spectrum, t_lo, step, count, sigma, k_ref):
+            seen.append(grid(spectrum, t_lo, step, count, sigma, k_ref)
+                        if profile is None else profile[:count])
+            return seen[-1]
+
+        monkeypatch.setattr(wave_trace, "_abs_i_on_grid", abs_i)
+        got = [(c.t0, c.amplitude) for c in scan_peaks(spectrum, t_range, SIGMA, threshold)]
+        [amp] = seen
+        step = SIGMA / 4
+        ts = np.arange(t_range[0], t_range[1] + step / 2, step)
+        assert len(ts) == len(amp)
+        want = _loop_peaks(amp, ts, step, threshold * wave_trace._background(amp))
+        # bit for bit
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        return got
+
+    @pytest.mark.parametrize("path", STORED, ids=[p.stem for p in STORED])
+    def test_candidates_are_the_loop_ones_on_stored_spectra(self, path, monkeypatch):
+        spectrum = _stored_spectrum(path)
+        L = fit_invariants(spectrum, t_window=ReconstructConfig().fit_t_window).perimeter
+        for threshold in (wave_trace.PEAK_THRESHOLD, 0.0):
+            assert self._check_against_loop(spectrum, (SCAN_T_START, L), threshold, monkeypatch)
+
+    def test_candidates_are_the_loop_ones_with_ties_and_plateaus(self, square5000, monkeypatch):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            n = int(rng.integers(1, 120))
+            levels = rng.integers(0, 4, n).astype(float)  # many equal neighbours
+            plateaus = np.repeat(rng.random(n), rng.integers(1, 4, n))[:n]
+            for profile in (levels, plateaus, rng.random(n)):
+                # a grid of len(profile) points from 1.5 with step SIGMA / 4
+                t_range = (1.5, 1.5 + (len(profile) - 1) * SIGMA / 4)
+                if len(profile) == 1:
+                    t_range = (1.5, 1.51)
+                for threshold in (0.0, 1.0, wave_trace.PEAK_THRESHOLD):
+                    self._check_against_loop(
+                        square5000, t_range, threshold, monkeypatch, profile
+                    )
+
     def test_square_peak_locations(self, square5000):
         cands = scan_peaks(square5000, (1.5, 3.5), SIGMA)
         t0s = sorted(c.t0 for c in cands)
