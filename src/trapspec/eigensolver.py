@@ -63,7 +63,7 @@ _DISSECTION_LEAF = 16  # a part of at most this many nodes is not bisected
 
 @dataclass
 class Spectrum:
-    """Ascending, finite Laplace eigenvalues with boundary condition and accuracy."""
+    """Ascending, finite, non-negative Laplace eigenvalues with boundary condition and accuracy."""
 
     eigenvalues: np.ndarray
     boundary_condition: str
@@ -83,6 +83,15 @@ class Spectrum:
         self.eigenvalues = ev[order]
         if self.boundary_condition not in (DIRICHLET, NEUMANN):
             raise DomainError(f"unknown boundary condition {self.boundary_condition!r}")
+        # the Laplacian is non-negative, and only Neumann's constant mode reaches 0
+        dirichlet = self.boundary_condition == DIRICHLET
+        bad = np.flatnonzero(ev <= 0 if dirichlet else ev < 0)
+        if len(bad):
+            sign = "positive" if dirichlet else "non-negative"
+            raise DomainError(
+                f"eigenvalue {bad[0]} is {ev[bad[0]]}; "
+                f"{self.boundary_condition} eigenvalues must be {sign}"
+            )
         if self.accuracy is not None:
             acc = np.asarray(self.accuracy, dtype=float)
             if acc.shape != ev.shape:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedFit, TruncationWarning, WindowTooNarrow
+from .errors import DomainError, IllConditionedFit, TruncationWarning, WindowTooNarrow
 from .eigensolver import DIRICHLET, Spectrum
 
 TAIL_WARN_FRACTION = 1e-6
@@ -79,7 +79,9 @@ def heat_trace_partial(spectrum: Spectrum, t: np.ndarray | float) -> np.ndarray 
 
 
 def default_t_window(spectrum: Spectrum) -> tuple[float, float]:
-    lam_n = spectrum.eigenvalues[-1]
+    lam_n = float(spectrum.eigenvalues[-1])
+    if not lam_n > 0:
+        raise DomainError(f"a fit window needs a positive top eigenvalue, got {lam_n}")
     t_min = max(10.0 / lam_n, 1e-4)
     t_max = 40.0 / lam_n
     return (max(t_min, 1e-4), min(max(t_max, 2 * t_min), 1e-1))
@@ -104,7 +106,7 @@ def fit_invariants(
         t_window = default_t_window(spectrum)
     t_min, t_max = t_window
     if not (0 < t_min < t_max < math.inf):
-        raise WindowTooNarrow(f"invalid window {t_window}")
+        raise WindowTooNarrow(f"invalid window ({float(t_min)}, {float(t_max)})")
 
     # auto-shrink: enforce the truncation-tail precondition at t_min
     for _ in range(200):
@@ -127,10 +129,11 @@ def fit_invariants(
     w = np.sqrt(ts)
     dw = design * w[:, None]
     yw = y * w
-    cond = float(np.linalg.cond(dw))
+    # lstsq's singular values give the 2-norm condition number: no second SVD
+    coef, _, _, sv = np.linalg.lstsq(dw, yw, rcond=None)
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
     if cond > CONDITION_CAP:
         raise IllConditionedFit(f"design matrix condition number {cond:.3g}")
-    coef, *_ = np.linalg.lstsq(dw, yw, rcond=None)
     resid = dw @ coef - yw
     area = float(coef[0])
     perimeter = float(coef[1])

@@ -12,16 +12,21 @@ for diffractive lengths.
 
 Both sums are evaluated from factored phases. A profile over T uniform
 times splits each time index into a block of about sqrt(T) steps and an
-offset within it. Three complex exponentials per eigenvalue give the first
-phase and the one-step and one-block factors; running products of those
-give the rest, and one small complex matrix product sums them, instead of
-T N exponentials. A profile over K frequencies uses
-exp(i (mu - k) t0) = exp(i mu t0) exp(-i k t0): N + K complex exponentials
-and one real K x N Gaussian matrix. Both agree with the direct sums within
-1e-12 of the profile's maximum. Against an 80-bit direct sum the time
-profile is off by 0.5-1.5e-14 of its maximum on the pipeline's grids (81
-to 170 times) and 1-3e-13 at 2000, as much as a float64 direct sum: the
-error comes from rounding the phases t d, not from the running products.
+offset within it. Two complex exponentials per eigenvalue give the first
+phase and the one-step factor z; running products give the rows z^j, the
+one-block factor z^b from the last of them, and the block rows, and one
+small complex matrix product sums them, instead of T N exponentials. A
+profile over K frequencies uses exp(i (mu - k) t0) = exp(i mu t0)
+exp(-i k t0): N + K complex exponentials, summed against a real K x N
+Gaussian matrix as two real matrix-vector products. An order estimate
+needs one complex exponential per eigenvalue: with d = mu - k_mid, its 81
+background times t0 (1/2 + j/80) and its |I(k)| at t0 all follow from
+z = exp(i (t0/80) d) by running products (z^40 starts the grid, z^80 is
+the phase of |I(k)|). All of these agree with the direct sums within 1e-12
+of the profile's maximum. Against an 80-bit direct sum the time profile is
+off by 0.5-1.5e-14 of its maximum on the pipeline's grids (81 to 170 times)
+and 1-3e-13 at 2000, as much as a float64 direct sum: the error comes from
+rounding the phases t d, not from the running products.
 """
 
 from __future__ import annotations
@@ -79,8 +84,31 @@ class SingularityCandidate:
 
 def order_frequencies(spectrum: Spectrum) -> np.ndarray:
     """The k-grid of an order estimate: 30 geometric steps over [0.15, 0.6] sqrt(lambda_N)."""
-    k_max = math.sqrt(spectrum.eigenvalues[-1])
-    return np.geomspace(0.15 * k_max, 0.6 * k_max, 30)
+    lam_n = float(spectrum.eigenvalues[-1])
+    if not lam_n > 0:
+        raise DomainError(f"order frequencies need a positive top eigenvalue, got {lam_n}")
+    k_max = math.sqrt(lam_n)
+    lo, hi = 0.15 * k_max, 0.6 * k_max
+    # np.geomspace(lo, hi, 30) bit for bit, without its general-purpose setup
+    a, b = np.log10(lo), np.log10(hi)
+    ks = np.power(10.0, np.arange(30.0) * ((b - a) / 29) + a)
+    ks[0], ks[-1] = lo, hi
+    return ks
+
+
+def _gauss_sums(mu: np.ndarray, ks: np.ndarray, sigma: float, phase: np.ndarray):
+    """Real and imaginary parts of sum_j exp(-sigma^2 (mu_j - k)^2 / 2) phase_j at each k.
+
+    The K x N Gaussian is built in one buffer and applied as two real
+    matrix-vector products, which skips the complex copy of it that a
+    complex product makes.
+    """
+    gauss = np.empty((len(ks), len(mu)))
+    np.subtract(mu, ks[:, None], out=gauss)
+    gauss *= gauss
+    gauss *= -0.5 * sigma**2
+    np.exp(gauss, out=gauss)
+    return gauss @ phase.real, gauss @ phase.imag
 
 
 def probe(spectrum: Spectrum, t0: float, sigma: float, k_list) -> SingularityProbe:
@@ -91,13 +119,8 @@ def probe(spectrum: Spectrum, t0: float, sigma: float, k_list) -> SingularityPro
     if not np.all(np.isfinite(ks)):
         raise DomainError("every k must be finite")
     mu = np.sqrt(spectrum.eigenvalues)
-    gauss = np.exp(-0.5 * sigma**2 * (mu[None, :] - ks[:, None]) ** 2)
-    vals = (
-        sigma
-        * math.sqrt(2 * math.pi)
-        * np.exp(-1j * ks * t0)
-        * (gauss @ np.exp(1j * mu * t0))
-    )
+    re, im = _gauss_sums(mu, ks, sigma, np.exp(1j * mu * t0))
+    vals = sigma * math.sqrt(2 * math.pi) * np.exp(-1j * ks * t0) * (re + 1j * im)
     return SingularityProbe(t0=t0, sigma=sigma, k=ks, values=vals)
 
 
@@ -135,28 +158,33 @@ def _running_powers(first, ratio: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
+def _grid_sums(first: np.ndarray, z: np.ndarray, count: int) -> np.ndarray:
+    """sum_j first_j z_j^k for k < count, as one (nb x N) @ (N x b) product.
+
+    Each index is split as k = a * b + j with b = isqrt(count): the rows z^j
+    and first * Z^a, with Z = z^b taken from the last row of z^j, are
+    running products, whose error stays below that of rounding the phases
+    t d (see the module docstring).
+    """
+    b = math.isqrt(count)
+    nb = -(-count // b)
+    inner = _running_powers(1.0, z, b)
+    outer = _running_powers(first, inner[-1] * z, nb)
+    return (outer @ inner.T).ravel()[:count]
+
+
 def _abs_i_on_grid(
     spectrum: Spectrum, t_lo: float, step: float, count: int, sigma: float, k_ref: float
 ):
     """|I(k_ref)| at the times t_lo + k * step, k < count.
 
-    Each index is split as k = a * b + j with b = isqrt(count), so
-    exp(i t_k d) = exp(i t_lo d) Z^a * z^j with z = exp(i step d) and
-    Z = exp(i b step d), and the profile is one (nb x N) @ (N x b) product.
-    Three exponentials per mode are evaluated; the rows z^j and
-    gauss exp(i t_lo d) Z^a are running products, whose error stays below
-    that of rounding the phases t d (see the module docstring).
+    With d = mu - k_ref, exp(i t_k d) = exp(i t_lo d) z^k for z = exp(i step d):
+    two complex exponentials per mode, summed by `_grid_sums`.
     """
-    mu = np.sqrt(spectrum.eigenvalues)
-    d = mu - k_ref
-    b = math.isqrt(count)
-    nb = -(-count // b)
-    inner = _running_powers(1.0, np.exp(1j * step * d), b)
-    outer = _running_powers(
-        np.exp(-0.5 * sigma**2 * d**2) * np.exp(1j * t_lo * d), np.exp(1j * (b * step) * d), nb
-    )
-    sums = (outer @ inner.T).ravel()[:count]
-    return sigma * math.sqrt(2 * math.pi) * np.abs(sums)
+    d = np.sqrt(spectrum.eigenvalues) - k_ref
+    first = np.exp(-0.5 * sigma**2 * d**2) * np.exp(1j * t_lo * d)
+    z = np.exp(1j * step * d)
+    return sigma * math.sqrt(2 * math.pi) * np.abs(_grid_sums(first, z, count))
 
 
 def scan_peaks(
@@ -200,31 +228,61 @@ def scan_peaks(
     return out
 
 
+def _order_profiles(
+    spectrum: Spectrum, t0: float, sigma: float, ks: np.ndarray, k_mid: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """|I(k)| at t0 for each k of ks, and |I(k_mid)| at the 81 times t0 * (1/2 + j/80).
+
+    One complex exponential per mode: with d = mu - k_mid and
+    z = exp(i (t0/80) d), the background grid starts at z^40 = exp(i t0 d/2)
+    and steps by z, and z^80 = exp(i t0 d) is the profile's phase, since
+    exp(i t0 k_mid) and exp(-i k t0) have modulus 1.
+    """
+    mu = np.sqrt(spectrum.eigenvalues)
+    d = mu - k_mid
+    z = np.exp(1j * (t0 / 80) * d)
+    z8 = z * z
+    z8 *= z8
+    z8 *= z8  # z^8
+    half = z8 * z8
+    half *= half
+    half *= z8  # z^40 = exp(i t0 d / 2)
+    scale = sigma * math.sqrt(2 * math.pi)
+    re, im = _gauss_sums(mu, ks, sigma, half * half)
+    first = np.exp(-0.5 * sigma**2 * d**2) * half
+    return scale * np.hypot(re, im), scale * np.abs(_grid_sums(first, z, 81))
+
+
 def estimate_order(spectrum: Spectrum, t0: float, sigma: float) -> tuple[float, float]:
     """Singularity order at t0: log-log slope of |I(k)| with its 2-SE interval.
 
-    |I(k)| is sampled on `order_frequencies`. Raises NoiseFloor when the
-    profile never rises above ten times the off-peak background, measured as
-    the lower-half median of |I(k_mid)| over the surrounding stretch
-    t0 * [0.5, 1.5].
+    |I(k)| is sampled on `order_frequencies`; the slope and its standard
+    error are the closed-form least-squares line through (log k, log |I|).
+    Raises NoiseFloor when the profile never rises above ten times the
+    off-peak background, measured as the lower quartile of |I(k_mid)| over
+    81 times spanning t0 * [0.5, 1.5] (see `_background`), or when fewer
+    than two of its values are positive.
     """
+    if not (0 < sigma < math.inf and 0 < t0 < math.inf):
+        raise DomainError("sigma and t0 must be positive and finite")
     ks = order_frequencies(spectrum)
     lo, hi = float(ks[0]), float(ks[-1])
-    amp = np.abs(probe(spectrum, t0, sigma, ks).values)
-    k_mid = math.sqrt(lo * hi)
-    off = _background(_abs_i_on_grid(spectrum, 0.5 * t0, t0 / 80, 81, sigma, k_mid))
-    if np.all(amp < 10 * off):
+    amp, grid = _order_profiles(spectrum, t0, sigma, ks, math.sqrt(lo * hi))
+    off = _background(grid)
+    mask = amp > 0
+    if np.all(amp < 10 * off) or np.count_nonzero(mask) < 2:
         raise NoiseFloor(
             f"|I| below 10x the off-peak background throughout {(lo, hi)}"
         )
-    mask = amp > 0
     x = np.log(ks[mask])
     y = np.log(amp[mask])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
+    x -= x.sum() / len(x)
+    y -= y.sum() / len(y)
+    sxx = float(x @ x)
+    slope = float(x @ y) / sxx
+    resid = y - slope * x
     dof = max(len(x) - 2, 1)
-    se = math.sqrt(float(resid @ resid) / dof / float(((x - x.mean()) ** 2).sum()))
-    return float(slope), float(2 * se)
+    return slope, 2 * math.sqrt(float(resid @ resid) / dof / sxx)
 
 
 def classify_candidate(candidate: SingularityCandidate) -> str:

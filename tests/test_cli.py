@@ -142,6 +142,9 @@ class TestMalformedInput:
         rect = exact_rectangle_spectrum(1, 1.3, 900).to_csv().splitlines()
         files["inf_last"] = "\n".join(rect[:-1] + ["inf"]) + "\n"
         files["nan_fifth"] = "\n".join(rect[:5] + ["nan"] + rect[6:]) + "\n"
+        # a negative Dirichlet eigenvalue, and a Neumann spectrum of its zero mode alone
+        files["negative_first"] = "# bc=D domain=null accuracy=\n-5\n10\n"
+        files["neumann_zero"] = "# bc=N domain=null accuracy=\n0\n"
         for name, body in files.items():
             (tmp_path / f"{name}.csv").write_text(body)
         return {name: str(tmp_path / f"{name}.csv") for name in files}
@@ -227,6 +230,11 @@ class TestMalformedInput:
             (["reconstruct", "{square_csv}", "--sigma", "nan"], "DomainError"),
             (["reconstruct", "{square_csv}", "--rect-tol", "nan"], "DomainError"),
             (["reconstruct", "{square_csv}", "--rect-tol", "-1"], "DomainError"),
+            (["wavetrace", "{negative_first}", "--t-lo", "1", "--t-hi", "3"], "DomainError"),
+            (["invariants", "{negative_first}"], "DomainError"),
+            (["wavetrace", "{neumann_zero}", "--t-lo", "1", "--t-hi", "3",
+              "--probe-t0", "2", "--probe-out", "{probe}"], "DomainError"),
+            (["invariants", "{neumann_zero}"], "DomainError"),
         ],
         ids=["spectrum-N-n0", "spectrum-D-negative-n", "spectrum-mesh-size-negative",
              "spectrum-mesh-size-0", "spectrum-mesh-size-nan", "spectrum-coarsest-element-too-long",
@@ -243,7 +251,9 @@ class TestMalformedInput:
              "orbits-null-angle", "orbits-null-vertex", "orbits-lmax-inf",
              "orbits-lmax-nan", "invariants-grid-size-huge", "reconstruct-tol-nan",
              "reconstruct-tol-negative", "reconstruct-sigma-nan", "reconstruct-rect-tol-nan",
-             "reconstruct-rect-tol-negative"],
+             "reconstruct-rect-tol-negative", "wavetrace-negative-eigenvalue",
+             "invariants-negative-eigenvalue", "wavetrace-probe-zero-top-eigenvalue",
+             "invariants-zero-top-eigenvalue"],
     )
     def test_exits_1_with_json_error(
         self, argv, error, square_json, square_spectrum_csv, spectrum_files, domain_files,

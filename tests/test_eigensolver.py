@@ -665,3 +665,27 @@ class TestSpectrumIO:
         # an unknown accuracy stays allowed: a one-level spectrum has none
         unknown = Spectrum(s.eigenvalues, DIRICHLET, accuracy=np.full(20, np.nan))
         assert np.all(np.isnan(unknown.accuracy))
+
+    @pytest.mark.parametrize(
+        "bc, ev, sign",
+        [
+            (DIRICHLET, [-5.0, 10.0], "positive"),
+            (DIRICHLET, [0.0, 10.0], "positive"),
+            (DIRICHLET, [-0.0, 10.0], "positive"),
+            (NEUMANN, [-1e-12, 0.0, 10.0], "non-negative"),
+        ],
+    )
+    def test_negative_or_dirichlet_zero_eigenvalue_rejected(self, bc, ev, sign):
+        match = f"eigenvalue 0 is .*{bc} eigenvalues must be {sign}"
+        with pytest.raises(DomainError, match=match):
+            Spectrum(np.array(ev), bc)
+        tag = "D" if bc == DIRICHLET else "N"
+        with pytest.raises(DomainError, match=match):
+            Spectrum.from_csv("\n".join([f"# bc={tag} domain=null accuracy="] + [str(v) for v in ev]))
+        with pytest.raises(DomainError, match=match):
+            Spectrum.from_json(json.dumps({"bc": bc, "eigenvalues": ev}))
+
+    def test_neumann_zero_mode_accepted(self):
+        s = Spectrum(np.array([0.0, 0.0, 10.0]), NEUMANN)
+        assert s.eigenvalues.tolist() == [0.0, 0.0, 10.0]
+        assert Spectrum.from_csv(s.to_csv()).eigenvalues[0] == 0.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from trapspec.eigensolver import DIRICHLET, NEUMANN, Spectrum, exact_rectangle_spectrum
-from trapspec.errors import TruncationWarning, WindowTooNarrow
+from trapspec.errors import DomainError, IllConditionedFit, TruncationWarning, WindowTooNarrow
 from trapspec import heat_trace
 from trapspec.geometry import Q_RECTANGLE
 from trapspec.heat_trace import (
@@ -108,6 +108,33 @@ class TestFitInvariants:
     def test_default_window_sane(self, square_d):
         lo, hi = default_t_window(square_d)
         assert 1e-4 <= lo < hi <= 1e-1
+
+    def test_default_window_needs_positive_top_eigenvalue(self):
+        with pytest.raises(DomainError, match="positive top eigenvalue"):
+            default_t_window(Spectrum(np.zeros(3), NEUMANN))
+
+    def test_invalid_window_message_prints_plain_floats(self, square_d):
+        with pytest.raises(WindowTooNarrow) as info:
+            fit_invariants(square_d, t_window=(np.float64(math.inf), np.float64(0.1)))
+        assert str(info.value) == "invalid window (inf, 0.1)"
+
+    def test_condition_gate_is_the_design_condition_number(self, square_d, monkeypatch):
+        # the gate reads lstsq's singular values; they give np.linalg.cond's number
+        window = (2e-3, 1e-2)
+        ts = np.geomspace(*window, 40)
+        design = np.column_stack(
+            [1.0 / (4 * math.pi * ts), -1.0 / (8 * np.sqrt(math.pi * ts)), np.ones_like(ts)]
+        )
+        cond = np.linalg.cond(design * np.sqrt(ts)[:, None])
+        monkeypatch.setattr(heat_trace, "CONDITION_CAP", cond * (1 + 1e-9))
+        fit_invariants(square_d, t_window=window)
+        monkeypatch.setattr(heat_trace, "CONDITION_CAP", cond * (1 - 1e-9))
+        with pytest.raises(IllConditionedFit):
+            fit_invariants(square_d, t_window=window)
+
+    def test_near_collinear_design_rejected(self, square_d):
+        with pytest.raises(IllConditionedFit, match="condition number"):
+            fit_invariants(square_d, t_window=(1e-2, 1e-2 * (1 + 1e-7)))
 
     def test_json_fields(self, square_d):
         d = json.loads(fit_invariants(square_d).to_json())

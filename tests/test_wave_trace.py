@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trapspec import wave_trace
+from trapspec import inverse, wave_trace
 from trapspec.eigensolver import DIRICHLET, Spectrum, exact_rectangle_spectrum
 from trapspec.errors import DomainError, NoiseFloor, TrapspecError
 from trapspec.geometry import Trapezoid
@@ -56,6 +56,44 @@ def _reference_probe(spectrum, t0, sigma, k_list):
     return SingularityProbe(t0=t0, sigma=sigma, k=ks, values=vals)
 
 
+def _reference_estimate_order(spectrum, t0, sigma):
+    """estimate_order from the direct sums, np.geomspace and np.polyfit."""
+    k_max = math.sqrt(spectrum.eigenvalues[-1])
+    ks = np.geomspace(0.15 * k_max, 0.6 * k_max, 30)
+    lo, hi = float(ks[0]), float(ks[-1])
+    amp = np.abs(_reference_probe(spectrum, t0, sigma, ks).values)
+    k_mid = math.sqrt(lo * hi)
+    off = wave_trace._background(
+        _reference_abs_i_on_grid(spectrum, 0.5 * t0, t0 / 80, 81, sigma, k_mid)
+    )
+    if np.all(amp < 10 * off):
+        raise NoiseFloor("below the reference background")
+    mask = amp > 0
+    x = np.log(ks[mask])
+    y = np.log(amp[mask])
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    dof = max(len(x) - 2, 1)
+    se = math.sqrt(float(resid @ resid) / dof / float(((x - x.mean()) ** 2).sum()))
+    return float(slope), float(2 * se)
+
+
+@pytest.fixture(scope="module")
+def candidates(square5000):
+    """Each test spectrum with scan_peaks' candidates on the pipeline's grid and the README's."""
+    out = {}
+    for path in [None] + STORED:
+        spectrum = square5000 if path is None else _stored_spectrum(path)
+        L = fit_invariants(spectrum, t_window=ReconstructConfig().fit_t_window).perimeter
+        peaks = scan_peaks(spectrum, (SCAN_T_START, L), SIGMA)
+        peaks += scan_peaks(spectrum, (1.5, 4.5), SIGMA)
+        out["square" if path is None else path.stem] = (spectrum, [c.t0 for c in peaks])
+    return out
+
+
+NAMES = ["square"] + [p.stem for p in STORED]
+
+
 class TestFactoredKernels:
     """The factored-phase kernels against the direct sums they replace."""
 
@@ -87,11 +125,15 @@ class TestFactoredKernels:
         ks = order_frequencies(spectrum)
         k_mid = math.sqrt(ks[0] * ks[-1])
         for c in peaks:
-            self._close(
-                probe(spectrum, c.t0, SIGMA, ks).values,
-                _reference_probe(spectrum, c.t0, SIGMA, ks).values,
-            )
+            want = _reference_probe(spectrum, c.t0, SIGMA, ks).values
+            self._close(probe(spectrum, c.t0, SIGMA, ks).values, want)
             self._check_grid(spectrum, 0.5 * c.t0, c.t0 / 80, 81, k_mid)
+            # and estimate_order's own kernel for both
+            amp, grid = wave_trace._order_profiles(spectrum, c.t0, SIGMA, ks, k_mid)
+            self._close(amp, np.abs(want))
+            self._close(
+                grid, _reference_abs_i_on_grid(spectrum, 0.5 * c.t0, c.t0 / 80, 81, SIGMA, k_mid)
+            )
         # counts whose blocked reshape is trimmed or degenerate, from a peak
         for count in (1, 2, 3, 127):
             self._check_grid(spectrum, peaks[0].t0, step, count, k_ref)
@@ -117,6 +159,69 @@ class TestFactoredKernels:
         self._close(
             wave_trace._abs_i_on_grid(spectrum, SCAN_T_START, step, count, SIGMA, k_ref), want
         )
+
+    @pytest.mark.skipif(
+        not np.finfo(np.longdouble).eps < 1e-18,
+        reason="needs an extended-precision long double for the reference sum",
+    )
+    @pytest.mark.parametrize("name", NAMES)
+    def test_order_profiles_against_extended_precision(self, name, candidates):
+        spectrum, times = candidates[name]
+        ld = np.longdouble
+        ks = order_frequencies(spectrum)
+        k_mid = math.sqrt(ks[0] * ks[-1])
+        mu = np.sqrt(spectrum.eigenvalues.astype(ld))
+
+        def abs_sums(phase, gauss):
+            re = (np.cos(phase) * gauss).sum(axis=-1)
+            im = (np.sin(phase) * gauss).sum(axis=-1)
+            return (SIGMA * math.sqrt(2 * math.pi) * np.hypot(re, im)).astype(float)
+
+        diff = mu[None, :] - ks.astype(ld)[:, None]
+        d = mu - ld(k_mid)
+        steps = np.arange(40, 121, dtype=ld) / 80  # the grid t0 * (1/2 + j/80)
+        for t0 in times:
+            amp, grid = wave_trace._order_profiles(spectrum, t0, SIGMA, ks, k_mid)
+            self._close(amp, abs_sums(ld(t0) * diff, np.exp(ld(-0.5) * ld(SIGMA) ** 2 * diff**2)))
+            phase = np.outer(ld(t0) * steps, d)
+            self._close(grid, abs_sums(phase, np.exp(ld(-0.5) * ld(SIGMA) ** 2 * d**2)))
+
+    def test_order_frequencies_is_geomspace(self, candidates):
+        rng = np.random.default_rng(31)
+        lams = [s.eigenvalues[-1] for s, _ in candidates.values()]
+        lams += list(10.0 ** rng.uniform(-6, 12, 2000)) + list(rng.uniform(1, 1e5, 2000))
+        for lam in lams:
+            k_max = math.sqrt(lam)
+            want = np.geomspace(0.15 * k_max, 0.6 * k_max, 30)
+            got = order_frequencies(Spectrum(np.array([lam]), DIRICHLET))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_estimate_order_against_reference(self, name, candidates):
+        spectrum, times = candidates[name]
+        times = sorted(times)
+
+        def outcome(estimate, t0):
+            try:
+                return estimate(spectrum, t0, SIGMA)
+            except NoiseFloor:
+                return None
+
+        def compare(t0, order_tol, ci_rtol):
+            got = outcome(estimate_order, t0)
+            want = outcome(_reference_estimate_order, t0)
+            assert (got is None) == (want is None), t0
+            if want is not None:
+                assert abs(got[0] - want[0]) <= order_tol, t0
+                assert abs(got[1] - want[1]) <= ci_rtol * want[1], t0
+
+        for t0 in times:
+            compare(t0, 1e-12, 1e-9)
+        # Off-peak midpoints exercise the NoiseFloor outcome. There |I| is a
+        # near-cancelling sum: against a long double sum both float64 orders
+        # are off by up to 9e-11 (alpha_right), and they differ by 6e-12
+        for a, b in zip(times, times[1:]):
+            compare(0.5 * (a + b), 1e-10, 1e-9)
 
     def test_background_is_numpy_quartile(self):
         rng = np.random.default_rng(29)
@@ -144,6 +249,7 @@ class TestFactoredKernels:
         new = outcome()
         monkeypatch.setattr(wave_trace, "_abs_i_on_grid", _reference_abs_i_on_grid)
         monkeypatch.setattr(wave_trace, "probe", _reference_probe)
+        monkeypatch.setattr(inverse, "estimate_order", _reference_estimate_order)
         ref = outcome()
         if isinstance(ref, type):
             assert new is ref
@@ -323,6 +429,13 @@ class TestEstimateOrder:
     def test_off_length_noise_floor(self, square5000):
         with pytest.raises(NoiseFloor):
             estimate_order(square5000, 1.3, SIGMA)
+
+    @pytest.mark.parametrize("lam", [1e6, 620.0**2], ids=["none", "one"])
+    def test_underflowed_profile_is_noise_floor(self, lam):
+        # a lone mode far above the order grid: every Gaussian weight of the
+        # background underflows to 0, and of |I(k)| all, or all but the top k
+        with pytest.raises(NoiseFloor):
+            estimate_order(Spectrum(np.array([lam]), DIRICHLET), 2.0, SIGMA)
 
     def test_separation_from_off_length(self, square5000):
         # off-lengths either vanish into the noise floor or sit well below
