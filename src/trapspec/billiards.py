@@ -545,6 +545,9 @@ class _Search:
             raise DomainError("lmax must be finite and positive")
         if not 1 <= self.period_max <= 64:
             raise DomainError("period_max must be between 1 and the configured cap of 64")
+        # a corridor through the unfolded mirrors is a billiard path only in a convex polygon
+        if not self.polygon.is_convex():
+            raise DomainError("polygon must be convex")
 
     @property
     def starts(self) -> list[tuple[str, int]]:

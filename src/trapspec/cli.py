@@ -23,15 +23,18 @@ from .eigensolver import (
     compute_spectrum,
     exact_rectangle_spectrum,
 )
-from .errors import NoiseFloor, TrapspecError
+from .errors import TrapspecError
 from .geometry import Polygon, Trapezoid, new_trapezoid, vertices
 from .heat_trace import fit_invariants
-from .inverse import ReconstructConfig, check_isospectral_consistency, scan_and_reconstruct
+from .inverse import (
+    ReconstructConfig,
+    _classified,
+    check_isospectral_consistency,
+    scan_and_reconstruct,
+)
 from .wave_trace import (
     DEFAULT_SIGMA,
     PEAK_THRESHOLD,
-    classify_candidate,
-    estimate_order,
     order_frequencies,
     probe,
     scan_peaks,
@@ -113,7 +116,7 @@ def _cmd_invariants(args) -> int:
     spec = Spectrum.from_csv(Path(args.spectrum).read_text())
     window = None if args.t_min is None else (args.t_min, args.t_max)
     inv = fit_invariants(spec, t_window=window, grid_size=args.grid_size)
-    out = {"invariants": json.loads(inv.to_json()), "config": _config_of(args)}
+    out = {"invariants": inv.to_dict(), "config": _config_of(args)}
     _write(json.dumps(out, indent=2), args.out)
     return 0
 
@@ -136,11 +139,7 @@ def _cmd_wavetrace(args) -> int:
         spec, (args.t_lo, args.t_hi), sigma, threshold=args.threshold
     )
     for c in cands:
-        try:
-            c.estimated_order, c.order_ci = estimate_order(spec, c.t0, sigma)
-            c.matched_orbit = classify_candidate(c)
-        except NoiseFloor:
-            pass
+        c.matched_orbit = _classified(spec, c, sigma)
     out = {
         "candidates": [c.to_dict() for c in cands],
         "config": _config_of(args),
@@ -177,8 +176,7 @@ def _cmd_compare(args) -> int:
     if not (isinstance(t1, Trapezoid) and isinstance(t2, Trapezoid)):
         raise ValueError("compare requires two trapezoid domain files")
     report = check_isospectral_consistency(t1, t2)
-    out = json.loads(report.to_json())
-    out["config"] = _config_of(args)
+    out = {**report.to_dict(), "config": _config_of(args)}
     _write(json.dumps(out, indent=2), args.out)
     return 0
 

@@ -137,40 +137,19 @@ class Spectrum:
         ev = np.array(
             [float(s) for s in lines[1:] if s.strip() and not s.startswith("#")]
         )
-        if len(ev) == 0:
-            raise DomainError("spectrum file lists no eigenvalues")
         return cls(eigenvalues=ev, boundary_condition=bc, source_domain=dom)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bc": self.boundary_condition,
-                "eigenvalues": self.eigenvalues.tolist(),
-                "accuracy": self.accuracy.tolist() if self.accuracy is not None else None,
-                "domain": self.source_domain.vertices.tolist()
-                if self.source_domain is not None
-                else None,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Spectrum":
-        d = json.loads(text)
-        return cls(
-            eigenvalues=np.array(d["eigenvalues"]),
-            boundary_condition=d["bc"],
-            accuracy=np.array(d["accuracy"]) if d.get("accuracy") is not None else None,
-            source_domain=Polygon(np.array(d["domain"])) if d.get("domain") else None,
-        )
 
 
 def exact_rectangle_spectrum(a: float, c: float, n: int, bc: str = DIRICHLET) -> Spectrum:
     """Lowest n eigenvalues of an a-by-c rectangle, with multiplicity, exact.
 
     Dirichlet: pi^2 (m^2/a^2 + k^2/c^2), m, k >= 1; Neumann allows m, k >= 0.
+    n is capped at MAX_EIGENVALUES, as in compute_spectrum.
     """
     if a <= 0 or c <= 0 or n < 1:
         raise DomainError("need positive sides and n >= 1")
+    if n > MAX_EIGENVALUES:
+        raise DomainError(f"n must lie in [1, {MAX_EIGENVALUES}], got {n}")
     start = 1 if bc == DIRICHLET else 0
     # lazily expand a lattice heap until n values are popped
     fa, fc = (math.pi / a) ** 2, (math.pi / c) ** 2
@@ -475,7 +454,11 @@ def lowest_eigenvalues(
     their upper counts are known; with one core, or one slice, they are
     solved in this process. This is the one-level case of `_solve_levels`.
     (K, M) is factored in the order given (see `_factor`); `_dissection_order`
-    gives a fill-reducing one.
+    gives a fill-reducing one. A system left in mesh order pays about 40
+    times as much: on the flagship's fine level (12,723 degrees of freedom),
+    with the slice solves stubbed, it took 25.4 s against 0.66 s in
+    dissection order. `compute_spectrum` and `level_eigenvalues` put each
+    system in that order first.
     """
     return _solve_levels([(K, M)], n, area, perimeter, bc)[0]
 

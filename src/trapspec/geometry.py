@@ -7,7 +7,6 @@ inconsistent states cannot be constructed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -138,14 +137,6 @@ class Trapezoid:
         object.__setattr__(
             self, "perimeter", B + b + h * (1 / math.sin(alpha) + 1 / math.sin(beta))
         )
-
-    def to_json(self) -> str:
-        return json.dumps({"B": self.B, "h": self.h, "alpha": self.alpha, "beta": self.beta})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Trapezoid":
-        d = json.loads(text)
-        return cls(B=d["B"], h=d["h"], alpha=d["alpha"], beta=d["beta"])
 
 
 def _cot(x: float) -> float:

@@ -7,7 +7,6 @@ so the angle invariant is read off the fitted constant.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,17 +31,15 @@ class HeatInvariants:
     fit_residual: float  # weighted RMS residual
     t_window: tuple[float, float]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "area": self.area,
-                "perimeter": self.perimeter,
-                "K": self.corner_constant,
-                "q": self.q_estimate,
-                "residual": self.fit_residual,
-                "tWindow": list(self.t_window),
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "area": self.area,
+            "perimeter": self.perimeter,
+            "K": self.corner_constant,
+            "q": self.q_estimate,
+            "residual": self.fit_residual,
+            "tWindow": list(self.t_window),
+        }
 
 
 def weyl_tail_bound(spectrum: Spectrum, t: np.ndarray | float) -> np.ndarray | float:

@@ -760,14 +760,12 @@ class ConsistencyReport:
     separating_invariant: str | None
     values: dict
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "verdict": self.verdict,
-                "separatingInvariant": self.separating_invariant,
-                "values": self.values,
-            }
-        )
+    def to_dict(self) -> dict:
+        return {
+            "verdict": self.verdict,
+            "separatingInvariant": self.separating_invariant,
+            "values": self.values,
+        }
 
 
 def check_isospectral_consistency(t1: Trapezoid, t2: Trapezoid) -> ConsistencyReport:

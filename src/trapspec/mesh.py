@@ -19,7 +19,6 @@ class Mesh:
     nodes: np.ndarray  # (n, 2)
     triangles: np.ndarray  # (m, 3) int
     boundary_mask: np.ndarray  # (n,) bool
-    h: float  # longest element edge
 
     @property
     def n_nodes(self) -> int:
@@ -90,12 +89,7 @@ def triangulate(polygon: Polygon, target_h: float) -> Mesh:
 
     # Delaunay keeps input order, so the boundary points come first
     boundary_mask = np.arange(len(nodes)) < len(bpts)
-    mesh = Mesh(
-        nodes=nodes,
-        triangles=triangles,
-        boundary_mask=boundary_mask,
-        h=_max_edge(nodes, triangles),
-    )
+    mesh = Mesh(nodes=nodes, triangles=triangles, boundary_mask=boundary_mask)
     _check_quality(mesh)
     return mesh
 
@@ -108,12 +102,6 @@ def _points_inside(points: np.ndarray, polygon: Polygon) -> np.ndarray:
     ap = points[:, None, :] - a[None, :, :]
     cr = ab[None, :, 0] * ap[:, :, 1] - ab[None, :, 1] * ap[:, :, 0]
     return np.all(cr >= 0.0, axis=1)
-
-
-def _max_edge(nodes: np.ndarray, triangles: np.ndarray) -> float:
-    p = nodes[triangles]
-    e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1)
-    return float(np.max(np.linalg.norm(e, axis=2)))
 
 
 def _check_quality(mesh: Mesh) -> None:
@@ -157,5 +145,4 @@ def refine_uniform(mesh: Mesh) -> Mesh:
         nodes=np.vstack([nodes, (nodes[used[:, 0]] + nodes[used[:, 1]]) / 2.0]),
         triangles=new_tris,
         boundary_mask=np.concatenate([mesh.boundary_mask, counts[order] == 1]),
-        h=mesh.h / 2.0,
     )

@@ -677,3 +677,11 @@ class TestPlumbing:
         for search in (enumerate_orbits, find_generalized_diagonals, length_spectrum):
             with pytest.raises(DomainError):
                 search(SQUARE, lmax, period_max=period_max)
+
+    def test_nonconvex_polygon_rejected(self):
+        # the unfolding would report a band with word (0, 2, 3, 5) in this L, which
+        # no billiard path follows: one leaving edge 2 heads down, and edge 3 lies above
+        ell = Polygon(np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float))
+        for search in (enumerate_orbits, find_generalized_diagonals, length_spectrum):
+            with pytest.raises(DomainError, match="convex"):
+                search(ell, 3.0)

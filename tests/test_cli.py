@@ -7,6 +7,11 @@ import pytest
 
 from trapspec.cli import main
 from trapspec.eigensolver import DIRICHLET, Spectrum, exact_rectangle_spectrum
+from trapspec.errors import NoiseFloor
+from trapspec.geometry import new_trapezoid
+from trapspec.heat_trace import fit_invariants
+from trapspec.inverse import check_isospectral_consistency
+from trapspec.wave_trace import DEFAULT_SIGMA, SingularityCandidate, classify_candidate, estimate_order
 
 
 @pytest.fixture()
@@ -31,6 +36,17 @@ def trap_json(tmp_path):
 def square_spectrum_csv(tmp_path):
     p = tmp_path / "square.csv"
     p.write_text(exact_rectangle_spectrum(1, 1, 2000).to_csv())
+    return str(p)
+
+
+@pytest.fixture()
+def trapezoid_spectrum_csv(tmp_path):
+    # a stored FEM spectrum whose fitted q takes the trapezoid branch
+    data = Path(__file__).parents[1] / "perfbench" / "data" / "band_2h_flagship.json"
+    d = json.loads(data.read_text())
+    spec = Spectrum(np.array(d["eigenvalues"]), DIRICHLET, accuracy=np.array(d["accuracy"]))
+    p = tmp_path / "band_2h_flagship.csv"
+    p.write_text(spec.to_csv())
     return str(p)
 
 
@@ -157,20 +173,11 @@ class TestMalformedInput:
             "null_side": '{"a": 1, "c": null}',
             "null_angle": '{"B": 2, "h": 1, "alpha": null, "beta": 1}',
             "null_vertex": '{"vertices": [[0, 0], [1, 0], [0, null]]}',
+            "l_shape": '{"vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}',
         }
         for name, body in files.items():
             (tmp_path / f"{name}.json").write_text(body)
         return {name: str(tmp_path / f"{name}.json") for name in files}
-
-    @pytest.fixture()
-    def trapezoid_spectrum_csv(self, tmp_path):
-        # a stored FEM spectrum whose fitted q takes the trapezoid branch
-        data = Path(__file__).parents[1] / "perfbench" / "data" / "band_2h_flagship.json"
-        d = json.loads(data.read_text())
-        spec = Spectrum(np.array(d["eigenvalues"]), DIRICHLET, accuracy=np.array(d["accuracy"]))
-        p = tmp_path / "band_2h_flagship.csv"
-        p.write_text(spec.to_csv())
-        return str(p)
 
     @pytest.mark.parametrize(
         "argv,error",
@@ -220,8 +227,10 @@ class TestMalformedInput:
              "WindowTooNarrow"),
             (["spectrum", "{nan_side}", "--exact", "--n", "10"], "ValueError"),
             (["spectrum", "{null_side}", "--exact", "--n", "10"], "ValueError"),
+            (["spectrum", "{square}", "--exact", "--n", "5001"], "DomainError"),
             (["orbits", "{null_angle}", "--lmax", "3"], "ValueError"),
             (["orbits", "{null_vertex}", "--lmax", "3"], "DomainError"),
+            (["orbits", "{l_shape}", "--lmax", "3"], "DomainError"),
             (["orbits", "{square}", "--lmax", "inf"], "DomainError"),
             (["orbits", "{square}", "--lmax", "nan"], "DomainError"),
             (["invariants", "{square_csv}", "--grid-size", "10000000000000"], "ValueError"),
@@ -247,8 +256,8 @@ class TestMalformedInput:
              "wavetrace-threshold-nan", "wavetrace-probe-t0-negative",
              "reconstruct-sigma-0", "wavetrace-t-hi-inf", "wavetrace-grid-too-large",
              "reconstruct-grid-too-large", "invariants-t-max-inf", "reconstruct-fit-t-max-inf",
-             "spectrum-nan-side", "spectrum-null-side",
-             "orbits-null-angle", "orbits-null-vertex", "orbits-lmax-inf",
+             "spectrum-nan-side", "spectrum-null-side", "spectrum-exact-n-too-large",
+             "orbits-null-angle", "orbits-null-vertex", "orbits-nonconvex", "orbits-lmax-inf",
              "orbits-lmax-nan", "invariants-grid-size-huge", "reconstruct-tol-nan",
              "reconstruct-tol-negative", "reconstruct-sigma-nan", "reconstruct-rect-tol-nan",
              "reconstruct-rect-tol-negative", "wavetrace-negative-eigenvalue",
@@ -280,6 +289,17 @@ class TestInvariantsCommand:
         assert d["invariants"]["area"] == pytest.approx(1.0, rel=0.01)
         assert d["invariants"]["perimeter"] == pytest.approx(4.0, rel=0.02)
         assert "config" in d
+
+    def test_output_is_fit_and_config(self, square_spectrum_csv, capsys):
+        rc = main(["invariants", square_spectrum_csv, "--grid-size", "30"])
+        assert rc == 0
+        text = capsys.readouterr().out
+        config = json.loads(text)["config"]
+        assert config == {"command": "invariants", "spectrum": square_spectrum_csv,
+                          "t_min": None, "t_max": None, "grid_size": 30}
+        spec = Spectrum.from_csv(Path(square_spectrum_csv).read_text())
+        inv = fit_invariants(spec, grid_size=30)
+        assert text == json.dumps({"invariants": inv.to_dict(), "config": config}, indent=2) + "\n"
 
 
 class TestOrbitsCommand:
@@ -329,6 +349,26 @@ class TestWavetraceCommand:
         assert rc == 0
         assert "k,absI,argI" in probe_out.read_text()
 
+    def test_labels_follow_order_estimates(self, trapezoid_spectrum_csv, capsys):
+        # each candidate carries estimate_order's order and classify_candidate's
+        # label, and neither where the estimate is at the noise floor
+        rc = main(["wavetrace", trapezoid_spectrum_csv, "--t-lo", "0.3", "--t-hi", "8"])
+        assert rc == 0
+        cands = json.loads(capsys.readouterr().out)["candidates"]
+        spec = Spectrum.from_csv(Path(trapezoid_spectrum_csv).read_text())
+        floor = 0
+        for c in cands:
+            try:
+                order, ci = estimate_order(spec, c["t0"], DEFAULT_SIGMA)
+            except NoiseFloor:
+                floor += 1
+                assert (c["order"], c["orderCi"], c["matchedOrbit"]) == (None, None, None)
+                continue
+            assert (c["order"], c["orderCi"]) == (order, ci)
+            cand = SingularityCandidate(c["t0"], c["amplitude"], estimated_order=order)
+            assert c["matchedOrbit"] == classify_candidate(cand)
+        assert 0 < floor < len(cands)
+
 
 class TestReconstructCommand:
     def test_square(self, square_spectrum_csv, tmp_path):
@@ -356,6 +396,20 @@ class TestCompareCommand:
         assert rc == 0
         d = json.loads(capsys.readouterr().out)
         assert d["verdict"] == "distinct-invariants"
+
+    def test_output_is_report_and_config(self, trap_json, tmp_path, capsys):
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"B": 2.0, "h": 1.0, "alpha": 1.3, "beta": 1.0}))
+        rc = main(["compare", trap_json, str(other)])
+        assert rc == 0
+        text = capsys.readouterr().out
+        config = json.loads(text)["config"]
+        assert config == {"command": "compare", "domain1": trap_json, "domain2": str(other)}
+        report = check_isospectral_consistency(
+            new_trapezoid(**json.loads(Path(trap_json).read_text())),
+            new_trapezoid(**json.loads(other.read_text())),
+        )
+        assert text == json.dumps({**report.to_dict(), "config": config}, indent=2) + "\n"
 
 
 class TestPropsCommand:

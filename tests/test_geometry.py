@@ -61,11 +61,6 @@ class TestNewTrapezoid:
             lhs = t.b + t.h * (1 / math.tan(t.alpha) + 1 / math.tan(t.beta))
             assert lhs == pytest.approx(t.B, rel=1e-14)
 
-    def test_json_round_trip(self):
-        t = new_trapezoid(B=2, h=1, alpha=1.3, beta=1.0)
-        t2 = Trapezoid.from_json(t.to_json())
-        assert (t2.B, t2.h, t2.alpha, t2.beta) == (t.B, t.h, t.alpha, t.beta)
-
 
 class TestAngleInvariant:
     def test_rectangle_value(self):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -73,7 +72,7 @@ class TestFitInvariants:
     def test_deterministic(self, square_d):
         a = fit_invariants(square_d)
         b = fit_invariants(square_d)
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
 
     def test_window_auto_shrinks(self, square_d):
         inv = fit_invariants(square_d, t_window=(1e-6, 5e-3))
@@ -137,5 +136,5 @@ class TestFitInvariants:
             fit_invariants(square_d, t_window=(1e-2, 1e-2 * (1 + 1e-7)))
 
     def test_json_fields(self, square_d):
-        d = json.loads(fit_invariants(square_d).to_json())
+        d = fit_invariants(square_d).to_dict()
         assert set(d) == {"area", "perimeter", "K", "q", "residual", "tWindow"}

@@ -384,11 +384,11 @@ class TestScanPeaks:
         assert abs(t0s[1] - 2 * math.sqrt(2)) < 0.05
 
     def test_empty_spectrum(self):
-        # no spectrum to scan is empty: the constructor and the JSON reader refuse it
+        # no spectrum to scan is empty: the constructor, and through it the CSV reader, refuse it
         with pytest.raises(DomainError, match="at least one eigenvalue"):
             Spectrum(eigenvalues=np.array([]), boundary_condition=DIRICHLET)
         with pytest.raises(DomainError, match="at least one eigenvalue"):
-            Spectrum.from_json(json.dumps({"bc": DIRICHLET, "eigenvalues": [], "accuracy": []}))
+            Spectrum.from_csv("# bc=D domain=null accuracy=\n")
 
     def test_bad_range(self, square5000):
         for t_range in ((2.0, 1.0), (0.0, 1.0), (1.5, math.inf), (1.5, math.nan)):
