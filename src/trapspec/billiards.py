@@ -25,6 +25,9 @@ the edge starts of the orbit search and the vertex starts of the diagonal
 search to the `workers` pool as one batch. The parent merges the replies in
 start order under the node budget of each search, so records, their order
 and their float bits are those of one serial walk, on any number of cores.
+`unmatched_conical` answers a narrower question, which times no conical
+length matches, in process: one walker takes the vertex starts in order and
+stops at the first chain that leaves no time unmatched.
 """
 
 from __future__ import annotations
@@ -195,10 +198,15 @@ def _line_segment_point(p0, d, a, b):
 
 
 def _pi_over_n(angle: float) -> bool:
-    for n in range(1, _PI_OVER_N_MAX + 1):
-        if abs(angle - math.pi / n) < 1e-7:
-            return True
-    return False
+    """Whether angle lies within 1e-7 of pi/n for some n = 1..64.
+
+    Only n = round(pi / angle) can: within 1e-7 of pi/n, pi/angle lies within
+    n**2 * 1e-7 / pi <= 1.4e-4 of n.
+    """
+    if not angle > 0:
+        return False
+    n = round(math.pi / angle)
+    return 1 <= n <= _PI_OVER_N_MAX and abs(angle - math.pi / n) < 1e-7
 
 
 def _clears(px, py, dx, dy, lhull, rhull, tol) -> bool:
@@ -230,7 +238,7 @@ class _Enumerator:
     visited in lexicographic order, so the record kept for each class under
     rotation and reversal is still its least word. `nodes` counts the nodes
     walked in this pruned tree; past `node_budget` the walk stops recording
-    and unwinds.
+    and unwinds. `on_chain`, if set, is called with each new vertex chain.
     """
 
     def __init__(self, polygon: Polygon, lmax: float, period_max: int, node_budget: int):
@@ -249,6 +257,7 @@ class _Enumerator:
         self.scale = polygon.diameter
         self.tol = _VERTEX_TOL * self.scale
         self.found: dict[tuple, ClosedGeodesic | ConicalChain] = {}
+        self.on_chain = None
 
     def run(self, first: int) -> None:
         """Walk the prenecklace words that begin with edge `first`."""
@@ -263,10 +272,18 @@ class _Enumerator:
         root = ([(bx, by)], [(ax, ay)], ux, uy, bx * ux + by * uy, ax * ux + ay * uy)
         self._dfs((first,), 1, self.reflections[first], root)
 
-    def diagonals(self, vi: int) -> None:
-        """Walk the vertex-to-vertex chains that leave vertex `vi`."""
+    def diagonals(self, vi: int, closed_only: bool = False) -> None:
+        """Walk the vertex-to-vertex chains that leave vertex `vi`; with
+        closed_only, record only those that return to it. The tree walked is
+        the same either way."""
         self._rational = [_pi_over_n(a) for a in self.polygon.interior_angles()]
         self._visit, self._narrow = self._try_vertex, self._narrow_cone
+        # the vertices a chain may end at, by the word's last letter (the last
+        # entry: no letter yet). The last mirror's endpoints are the parent
+        # copy's vertices, on or outside the narrowed cone, so they are skipped
+        n = self.n_edges
+        ends = [vi] if closed_only else list(range(n))
+        self._ends = [[v for v in ends if v not in (j, (j + 1) % n)] for j in range(n)] + [ends]
         px, py = self.polygon.vertices[vi].tolist()
         self._start, self._vi = (px, py), vi
         self._dfs((), None, Isometry.identity(), None)  # no mirror yet: every direction
@@ -294,7 +311,7 @@ class _Enumerator:
                 # reduce to these three
                 d0 = math.hypot(p0[0] - px, p0[1] - py)
                 d1 = math.hypot(p1[0] - px, p1[1] - py)
-                if min(pt_seg(px, py, *p0, *p1), d0, d1) > self.lmax:
+                if d0 > self.lmax and d1 > self.lmax and pt_seg(px, py, *p0, *p1) > self.lmax:
                     continue
                 if d0 < self.tol or d1 < self.tol:
                     continue  # mirror through the start vertex: no interior crossing
@@ -384,7 +401,7 @@ class _Enumerator:
         # passes both cone limits by at least tol on their sides
         px, py = self._start
         vi = self._vi
-        for vj in range(self.n_edges):
+        for vj in self._ends[word[-1] if word else -1]:
             qx, qy = pts[2 * vj]
             dx, dy = qx - px, qy - py
             dist = math.hypot(dx, dy)
@@ -403,7 +420,7 @@ class _Enumerator:
                 round(length / (1e-9 * self.scale)),
             )
             if key not in self.found:
-                self.found[key] = ConicalChain(
+                chain = self.found[key] = ConicalChain(
                     vertex_start=vi,
                     vertex_end=vj,
                     word=word,
@@ -411,6 +428,8 @@ class _Enumerator:
                     closed=(vj == vi),
                     diffractive=not (self._rational[vi] and self._rational[vj]),
                 )
+                if self.on_chain is not None:
+                    self.on_chain(chain)
 
     def _try_close(self, word, period, m, corridor, pts):
         if len(word) < 2 or len(word) % period:
@@ -488,12 +507,18 @@ class _Enumerator:
         )
 
 
-def _walk_start(polygon, lmax, period_max, node_budget, start) -> tuple[dict, int]:
+def _walk_start(
+    polygon, lmax, period_max, node_budget, start, closed_only=False
+) -> tuple[dict, int]:
     """The records of one start's subtree, keyed as its search keeps them, and
-    the subtree's node count. `start` is ("edge", k) or ("vertex", k)."""
+    the subtree's node count. `start` is ("edge", k) or ("vertex", k); a
+    vertex start with closed_only records only the chains back to it."""
     walker = _Enumerator(polygon, lmax, period_max, node_budget)
     kind, index = start
-    (walker.run if kind == "edge" else walker.diagonals)(index)
+    if kind == "edge":
+        walker.run(index)
+    else:
+        walker.diagonals(index, closed_only)
     return walker.found, walker.nodes
 
 
@@ -537,6 +562,7 @@ class _Search:
     period_max: int
     node_budget: int
     kind: str  # "edge": closed orbits; "vertex": generalized diagonals
+    closed_only: bool = False  # vertex starts: record closed chains only
 
     def __post_init__(self):
         # an infinite lmax never ends the on-edge orbit multiples, and a NaN
@@ -568,7 +594,9 @@ class _Search:
         for start, (part, nodes) in zip(self.starts, replies):
             complete = nodes <= left
             if not complete:
-                part, _ = _walk_start(self.polygon, self.lmax, self.period_max, left, start)
+                part, _ = _walk_start(
+                    self.polygon, self.lmax, self.period_max, left, start, self.closed_only
+                )
             for key, record in part.items():
                 found.setdefault(key, record)
             if not complete:
@@ -593,7 +621,9 @@ def _searched(*searches: _Search) -> list[tuple[list, bool]]:
     calls = []
     for i, start in batch:
         s = searches[i]
-        calls.append((_walk_start, (s.polygon, s.lmax, s.period_max, s.node_budget, start)))
+        calls.append(
+            (_walk_start, (s.polygon, s.lmax, s.period_max, s.node_budget, start, s.closed_only))
+        )
     replies = dict(zip(batch, workers.executor(len(calls))(calls)))
     return [
         search.merge([replies[i, start] for start in search.starts])
@@ -700,7 +730,7 @@ def length_spectrum(
     )
     (orbits, orbits_done), (chains, chains_done) = _searched(
         _Search(poly, lmax, period_max, DEFAULT_NODE_BUDGET, "edge"),
-        _Search(poly, lmax, DIAGONAL_PERIOD_MAX, DEFAULT_NODE_BUDGET, "vertex"),
+        _Search(poly, lmax, DIAGONAL_PERIOD_MAX, DEFAULT_NODE_BUDGET, "vertex", closed_only=True),
     )
     orbits = list(orbits) + [c for c in chains if c.closed]
     orbits.sort(key=lambda o: o.length)
@@ -715,6 +745,45 @@ def length_spectrum(
         else:
             spec.entries.append((o.length, [o]))
     return spec
+
+
+class _AllMatched(Exception):
+    """Ends unmatched_conical's walk: every time has a length."""
+
+
+def unmatched_conical(polygon: Polygon, times, tol: float) -> list:
+    """The times with no conical length within tol, in input order.
+
+    The conical lengths are those of the on-edge orbits and the closed
+    vertex chains up to max(times) + tol, the ones length_spectrum adds to
+    the periodic orbits. The vertex starts are walked in this process, in
+    order, by one walker whose node count runs on across them under
+    DEFAULT_NODE_BUDGET, so a search that runs out scores the times against
+    the chains that length_spectrum's BudgetExceeded.partial carries. Each
+    new length only removes times, so the walk stops at the first that
+    leaves none.
+    """
+    if not times:
+        return []
+    lmax = max(times) + tol
+    _Search(polygon, lmax, DIAGONAL_PERIOD_MAX, DEFAULT_NODE_BUDGET, "vertex")  # input checks
+    left = list(times)
+
+    def match(chain):
+        left[:] = [t for t in left if abs(chain.length - t) > tol]
+        if not left:
+            raise _AllMatched
+
+    walker = _Enumerator(polygon, lmax, DIAGONAL_PERIOD_MAX, DEFAULT_NODE_BUDGET)
+    walker.on_chain = match
+    try:
+        for chain in _edge_orbits(polygon, lmax).values():
+            match(chain)
+        for vi in range(len(polygon.vertices)):
+            walker.diagonals(vi, closed_only=True)
+    except _AllMatched:
+        pass
+    return left
 
 
 def shortest_orbit(trapezoid: Trapezoid) -> tuple[float, str]:

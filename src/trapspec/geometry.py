@@ -85,9 +85,15 @@ class Polygon:
         return np.where(ang < 0, ang + 2 * math.pi, ang)
 
     def is_convex(self) -> bool:
+        """Whether every vertex turns left and the boundary turns once around:
+        the interior angles of a star that winds twice sum to less than
+        (n - 2) pi."""
         d = np.roll(self.vertices, -1, axis=0) - self.vertices
         cr = _cross2(d, np.roll(d, -1, axis=0))
-        return bool(np.all(cr > -1e-12 * np.max(np.abs(cr))))
+        if not np.all(cr > -1e-12 * np.max(np.abs(cr))):
+            return False
+        full = (len(self.vertices) - 2) * math.pi
+        return abs(float(np.sum(self.interior_angles())) - full) <= 1e-9 * full
 
     @property
     def diameter(self) -> float:

@@ -12,8 +12,9 @@ nothing, which forces alpha = pi/2. _proposals turns the readings into
 solver calls, both branches of an ambiguous reading, and _judge
 cross-validates the shapes they return against the invariants and the
 observed peaks. A peak passes when some closed geodesic lies within 2 sigma
-of it: closed vertex chains and on-edge orbits are tried first, and orbit
-corridors are walked only for the peaks they leave unmatched. One rule
+of it: closed vertex chains and on-edge orbits are tried first, in process
+and only until every peak has a length, and orbit corridors are walked only
+for the peaks they leave unmatched. One rule
 covers solver failures: NoSolution, NonUniqueSolution,
 InconsistentInvariants and DomainError reject the hypothesis, and any other
 error propagates.
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .billiards import enumerate_orbits, length_spectrum
+from .billiards import length_spectrum, unmatched_conical
 from .errors import (
     AmbiguousClassification,
     BudgetExceeded,
@@ -524,36 +525,31 @@ def _unmatched(times, lengths, tol: float) -> list:
 def _unmatched_peaks(trap: Trapezoid, peaks, tol: float, period_max: int):
     """Observed peak times with no closed-geodesic length within tol.
 
-    The cheap evidence comes first: the conical lengths (closed vertex
-    chains and on-edge orbits) up to the longest peak plus tol, from
-    length_spectrum with period_max=1, where no reflection word is long
-    enough to close. Only the peaks those leave unmatched send the periodic
-    orbits (the corridor walks) to period_max, up to the longest of them plus
-    tol: no longer length can match one, and a shorter search is a prefix of
-    the longer. With no peaks nothing is enumerated. When a search exhausts
-    its budget, peaks are scored against the records it found before
-    stopping.
+    The cheap evidence comes first: billiards.unmatched_conical scores the
+    peaks against the conical lengths (closed vertex chains and on-edge
+    orbits) up to the longest peak plus tol, in this process, and stops
+    walking once every peak has a length. Only the peaks it leaves unmatched
+    send the search into the periodic-orbit corridors: one length_spectrum
+    call to period_max, up to the longest of them plus tol, since no longer
+    length can match one. With no peaks nothing is enumerated. When a search
+    exhausts its budget, peaks are scored against the records it found
+    before stopping.
 
     The answer is that of one length_spectrum call to period_max, except
-    that lengths within 1e-9 relative of each other are merged only within
-    each search, not across both: a peak's verdict can differ only when its
+    that length_spectrum merges lengths within 1e-9 relative of each other
+    and the conical pass does not: a peak's verdict can differ only when its
     distance to some length is within about 1e-9 times that length of tol.
     """
     if not peaks:
         return []
-    times = [c.t0 for c in peaks]
-    try:
-        lengths = length_spectrum(trap, max(times) + tol, period_max=1).lengths
-    except BudgetExceeded as exc:
-        lengths = np.array([o.length for o in exc.partial])
-    left = _unmatched(times, lengths, tol)
+    left = unmatched_conical(vertices(trap), [c.t0 for c in peaks], tol)
     if not left:
         return []
     try:
-        orbits = enumerate_orbits(vertices(trap), max(left) + tol, period_max)
+        lengths = length_spectrum(trap, max(left) + tol, period_max).lengths
     except BudgetExceeded as exc:
-        orbits = exc.partial
-    return _unmatched(left, np.array([o.length for o in orbits]), tol)
+        lengths = np.array([o.length for o in exc.partial])
+    return _unmatched(left, lengths, tol)
 
 
 def _classified(spectrum, cand: SingularityCandidate, sigma: float):

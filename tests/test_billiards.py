@@ -17,6 +17,7 @@ from trapspec.billiards import (
     length_spectrum,
     poincare_map,
     render_svg,
+    unmatched_conical,
 )
 from trapspec.errors import BudgetExceeded, DomainError
 from trapspec.geometry import (
@@ -31,6 +32,12 @@ from trapspec.properties import run_suite
 
 SQUARE = Polygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
 NEAR_RIGHT = vertices(new_trapezoid(B=2.0, h=1.0, alpha=math.radians(89.999), beta=math.pi / 3))
+README_TRAPEZOID = vertices(new_trapezoid(B=2.0, h=1.0, alpha=1.309, beta=1.0472))
+# vertices at 0, 144, 288, 72 and 216 degrees: every turn is left, but the
+# boundary winds twice around
+PENTAGRAM = Polygon(
+    [[math.cos(math.radians(a)), math.sin(math.radians(a))] for a in (0, 144, 288, 72, 216)]
+)
 
 
 def rectangle(width, height):
@@ -624,6 +631,19 @@ class TestPlumbing:
             ]
             assert got == want, kind
 
+    @pytest.mark.parametrize("poly", [README_TRAPEZOID, NEAR_RIGHT], ids=["readme", "near_right"])
+    def test_closed_only_walk_keeps_the_tree(self, poly):
+        # length_spectrum's chain search records closed chains only: the same
+        # nodes, and the closed records of the full walk in their order
+        for k in range(len(poly.vertices)):
+            start = ("vertex", k)
+            args = (poly, 6.0, billiards.DIAGONAL_PERIOD_MAX, 10**6, start)
+            full, nodes = billiards._walk_start(*args)
+            closed, closed_nodes = billiards._walk_start(*args, closed_only=True)
+            assert closed_nodes == nodes
+            assert list(closed.items()) == [(key, c) for key, c in full.items() if c.closed]
+            assert closed
+
     @pytest.mark.parametrize(
         "poly",
         [
@@ -682,6 +702,97 @@ class TestPlumbing:
         # the unfolding would report a band with word (0, 2, 3, 5) in this L, which
         # no billiard path follows: one leaving edge 2 heads down, and edge 3 lies above
         ell = Polygon(np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]], dtype=float))
-        for search in (enumerate_orbits, find_generalized_diagonals, length_spectrum):
+        for poly in (ell, PENTAGRAM):
+            for search in (enumerate_orbits, find_generalized_diagonals, length_spectrum):
+                with pytest.raises(DomainError, match="convex"):
+                    search(poly, 3.0)
             with pytest.raises(DomainError, match="convex"):
-                search(ell, 3.0)
+                unmatched_conical(poly, [2.0], 0.05)
+
+    def test_pi_over_n_is_the_loop(self):
+        def loop(angle):
+            for n in range(1, 65):
+                if abs(angle - math.pi / n) < 1e-7:
+                    return True
+            return False
+
+        angles = [
+            math.pi / n + d for n in range(1, 66) for d in (0, 0.9e-7, -0.9e-7, 1.1e-7, -1.1e-7)
+        ]
+        angles += np.random.default_rng(34).uniform(0, math.pi, 5000).tolist()
+        assert [billiards._pi_over_n(a) for a in angles] == [loop(a) for a in angles]
+        assert sum(map(loop, angles)) == 64 * 3
+
+
+class TestConicalMatcher:
+    """unmatched_conical: the times no on-edge orbit or closed vertex chain
+    matches, from one in-process walk that stops once none is left."""
+
+    @staticmethod
+    def scored(times, tol, lengths):
+        return [t for t in times if np.min(np.abs(lengths - t), initial=np.inf) > tol]
+
+    def walked(self, monkeypatch, poly, times, tol):
+        """The matcher's answer and the nodes its one walker walked."""
+        walkers = []
+
+        class Counted(billiards._Enumerator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                walkers.append(self)
+
+        monkeypatch.setattr(billiards, "_Enumerator", Counted)
+        left = unmatched_conical(poly, times, tol)
+        [walker] = walkers
+        return left, walker.nodes
+
+    def test_stops_once_every_time_is_matched(self, monkeypatch):
+        # no closed geodesic is shorter than 2h = 2, so 0.5 keeps the walk going
+        poly, tol = README_TRAPEZOID, 0.05
+        walks = [
+            billiards._walk_start(poly, 3.5 + tol, billiards.DIAGONAL_PERIOD_MAX, 10**6, start)
+            for start in [("vertex", k) for k in range(4)]
+        ]
+        full = sum(nodes for _, nodes in walks)
+        left, nodes = self.walked(monkeypatch, poly, [2.0, 3.5], tol)
+        assert left == [] and nodes < full
+        left, nodes = self.walked(monkeypatch, poly, [0.5, 2.0, 3.5], tol)
+        assert left == [0.5] and nodes == full
+
+    def test_out_of_budget_scores_length_spectrum_partial(self, monkeypatch):
+        poly, tol = README_TRAPEZOID, 0.01
+        chains = find_generalized_diagonals(poly, 6.0)
+        times = [0.5] + sorted({c.length for c in chains if c.closed})
+        lmax = max(times) + tol
+        nodes = [
+            billiards._walk_start(poly, lmax, billiards.DIAGONAL_PERIOD_MAX, 10**6, start)[1]
+            for start in [("vertex", k) for k in range(4)]
+        ]
+        answers = []
+        # at 50 nodes, at the end of the first start, inside the second
+        # start, and at the end of the last
+        for budget in (50, nodes[0], nodes[0] + nodes[1] // 2, sum(nodes)):
+            monkeypatch.setattr(billiards, "DEFAULT_NODE_BUDGET", budget)
+            try:
+                lengths = length_spectrum(poly, lmax, period_max=1).lengths
+            except BudgetExceeded as exc:
+                lengths = np.array([o.length for o in exc.partial])
+            answers.append(unmatched_conical(poly, times, tol))
+            assert answers[-1] == self.scored(times, tol, lengths), budget
+        assert answers[-1] == [0.5] and len({len(a) for a in answers}) > 2
+
+    def test_runs_without_the_pool(self, monkeypatch):
+        def no_pool(tasks):
+            raise AssertionError("the conical matcher reached the worker pool")
+
+        monkeypatch.setattr(workers, "executor", no_pool)
+        assert unmatched_conical(README_TRAPEZOID, [0.5, 2.0, 3.5], 0.05) == [0.5]
+
+    def test_no_times(self):
+        assert unmatched_conical(README_TRAPEZOID, [], 0.05) == []
+
+    def test_input_checks(self):
+        with pytest.raises(DomainError):
+            unmatched_conical(README_TRAPEZOID, [2.0], math.nan)
+        with pytest.raises(DomainError):
+            unmatched_conical(README_TRAPEZOID, [math.inf], 0.05)

@@ -174,6 +174,10 @@ class TestMalformedInput:
             "null_angle": '{"B": 2, "h": 1, "alpha": null, "beta": 1}',
             "null_vertex": '{"vertices": [[0, 0], [1, 0], [0, null]]}',
             "l_shape": '{"vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}',
+            # the pentagram: every turn is left, but the boundary winds twice around
+            "star": json.dumps({"vertices": [
+                [math.cos(math.radians(a)), math.sin(math.radians(a))] for a in (0, 144, 288, 72, 216)
+            ]}),
         }
         for name, body in files.items():
             (tmp_path / f"{name}.json").write_text(body)
@@ -231,6 +235,8 @@ class TestMalformedInput:
             (["orbits", "{null_angle}", "--lmax", "3"], "ValueError"),
             (["orbits", "{null_vertex}", "--lmax", "3"], "DomainError"),
             (["orbits", "{l_shape}", "--lmax", "3"], "DomainError"),
+            (["orbits", "{star}", "--lmax", "3"], "DomainError"),
+            (["spectrum", "{star}", "--n", "5"], "DomainError"),
             (["orbits", "{square}", "--lmax", "inf"], "DomainError"),
             (["orbits", "{square}", "--lmax", "nan"], "DomainError"),
             (["invariants", "{square_csv}", "--grid-size", "10000000000000"], "ValueError"),
@@ -257,7 +263,8 @@ class TestMalformedInput:
              "reconstruct-sigma-0", "wavetrace-t-hi-inf", "wavetrace-grid-too-large",
              "reconstruct-grid-too-large", "invariants-t-max-inf", "reconstruct-fit-t-max-inf",
              "spectrum-nan-side", "spectrum-null-side", "spectrum-exact-n-too-large",
-             "orbits-null-angle", "orbits-null-vertex", "orbits-nonconvex", "orbits-lmax-inf",
+             "orbits-null-angle", "orbits-null-vertex", "orbits-nonconvex", "orbits-star",
+             "spectrum-star", "orbits-lmax-inf",
              "orbits-lmax-nan", "invariants-grid-size-huge", "reconstruct-tol-nan",
              "reconstruct-tol-negative", "reconstruct-sigma-nan", "reconstruct-rect-tol-nan",
              "reconstruct-rect-tol-negative", "wavetrace-negative-eigenvalue",

@@ -151,6 +151,12 @@ class TestLevelLadder:
         dart = Polygon(np.array([[0, 0], [2, 0], [1, 0.5], [1, 2]], dtype=float))
         with pytest.raises(DomainError):
             level_eigenvalues(dart, DIRICHLET, 5, 0.05, 2)
+        # every turn of the pentagram is left, but its boundary winds twice
+        star = Polygon(
+            [[math.cos(math.radians(a)), math.sin(math.radians(a))] for a in (0, 144, 288, 72, 216)]
+        )
+        with pytest.raises(DomainError, match="convex"):
+            compute_spectrum(star, n=5, refine_levels=1)
 
     def test_rejects_too_coarse_mesh_size(self):
         with pytest.raises(MeshError):

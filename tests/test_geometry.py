@@ -121,6 +121,10 @@ class TestCornerSum:
         assert p.area == pytest.approx(t.area, rel=1e-13)
         assert p.perimeter == pytest.approx(t.perimeter, rel=1e-13)
         assert p.is_convex()
+        star = Polygon(
+            [[math.cos(math.radians(a)), math.sin(math.radians(a))] for a in (0, 144, 288, 72, 216)]
+        )
+        assert star.area > 0 and not star.is_convex()
         angles = p.interior_angles()
         assert np.sum(angles) == pytest.approx(2 * math.pi, abs=1e-12)
         assert sorted(angles) == pytest.approx(

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from trapspec import inverse
+from trapspec import billiards, inverse, workers
 from trapspec.billiards import ClosedGeodesic, LengthSpectrum, length_spectrum
 from trapspec.eigensolver import exact_rectangle_spectrum
 from trapspec.errors import (
@@ -482,37 +482,38 @@ class TestUnmatchedPeaks:
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        """Record each pass's (lmax, period_max) while running the real search."""
-        calls = {"length_spectrum": [], "enumerate_orbits": []}
-        spectrum, orbits = inverse.length_spectrum, inverse.enumerate_orbits
+        """Record each pass's arguments while running the real search: the
+        conical pass's times and tol, pass 2's lmax and period_max."""
+        calls = {"unmatched_conical": [], "length_spectrum": []}
+        conical, spectrum = inverse.unmatched_conical, inverse.length_spectrum
 
-        def pass1(trap, lmax, period_max):
+        def pass1(polygon, times, tol):
+            calls["unmatched_conical"].append((list(times), tol))
+            return conical(polygon, times, tol)
+
+        def pass2(trap, lmax, period_max):
             calls["length_spectrum"].append((lmax, period_max))
-            return spectrum(trap, lmax, period_max=period_max)
+            return spectrum(trap, lmax, period_max)
 
-        def pass2(polygon, lmax, period_max):
-            calls["enumerate_orbits"].append((lmax, period_max))
-            return orbits(polygon, lmax, period_max)
-
-        monkeypatch.setattr(inverse, "length_spectrum", pass1)
-        monkeypatch.setattr(inverse, "enumerate_orbits", pass2)
+        monkeypatch.setattr(inverse, "unmatched_conical", pass1)
+        monkeypatch.setattr(inverse, "length_spectrum", pass2)
         return calls
 
     def test_conical_lengths_settle_every_peak(self, calls):
         # 2h = 2 and 2 h_alpha = 3.464 are closed vertex chains
         assert inverse._unmatched_peaks(self.TRAP, self.peaks(3.5, 2.001), 0.05, 12) == []
-        assert calls == {"length_spectrum": [(3.5 + 0.05, 1)], "enumerate_orbits": []}
+        assert calls == {"unmatched_conical": [([3.5, 2.001], 0.05)], "length_spectrum": []}
 
     def test_corridors_up_to_the_longest_unmatched_peak(self, calls):
         # no closed geodesic is shorter than 2h = 2
         assert inverse._unmatched_peaks(self.TRAP, self.peaks(2.001, 1.0), 0.05, 12) == [1.0]
         assert calls == {
-            "length_spectrum": [(2.001 + 0.05, 1)], "enumerate_orbits": [(1.0 + 0.05, 12)],
+            "unmatched_conical": [([2.001, 1.0], 0.05)], "length_spectrum": [(1.0 + 0.05, 12)],
         }
 
     def test_no_peaks_enumerate_nothing(self, calls):
         assert inverse._unmatched_peaks(self.TRAP, [], 0.05, 12) == []
-        assert calls == {"length_spectrum": [], "enumerate_orbits": []}
+        assert calls == {"unmatched_conical": [], "length_spectrum": []}
 
     def test_matches_the_one_call_rule(self, calls):
         """Catalog lengths, and for every other shape the catalog lengths that
@@ -534,38 +535,50 @@ class TestUnmatchedPeaks:
                 times += rng.uniform(1.0, 5.0, 2).tolist()
             times.sort()
             for tol in (0.01, 0.05, 0.3):
-                before = len(calls["enumerate_orbits"])
+                before = len(calls["length_spectrum"])
                 got = inverse._unmatched_peaks(trap, self.peaks(*times), tol, 12)
                 assert got == _one_call_unmatched(trap, times, tol, 12), (trap, times, tol)
-                corridor_walks.append(len(calls["enumerate_orbits"]) > before)
+                corridor_walks.append(len(calls["length_spectrum"]) > before)
         assert any(corridor_walks) and not all(corridor_walks)
 
-    @pytest.mark.parametrize("exhausted", ["length_spectrum", "enumerate_orbits"])
-    def test_budget_exceeded_scores_partial_records(self, monkeypatch, exhausted):
-        """Either pass, out of budget, scores the peaks against what it found;
-        the other pass finds nothing, so only that record can match 2.001."""
+    @pytest.mark.parametrize(
+        "exhausted,left", [("unmatched_conical", [2.001]), ("length_spectrum", [3.5])]
+    )
+    def test_budget_exceeded_scores_partial_records(self, monkeypatch, exhausted, left):
+        """Either pass, out of budget, scores the peaks against what it found.
+        In its first 10 nodes the conical walk finds 2 h_alpha = 3.464 and not
+        2h = 2; pass 2, out of budget, finds only a band at 2. The other pass
+        finds nothing."""
         def partial(*args, **kwargs):
             raise BudgetExceeded("budget exhausted", partial=[self.ORBIT])
 
-        nothing = {
-            "length_spectrum": lambda *a, **k: LengthSpectrum(),
-            "enumerate_orbits": lambda *a: [],
-        }
-        nothing[exhausted] = partial
-        for name, search in nothing.items():
-            monkeypatch.setattr(inverse, name, search)
-        assert inverse._unmatched_peaks(self.TRAP, self.peaks(2.001, 3.5), 0.05, 12) == [3.5]
+        peaks = self.peaks(2.001, 3.5)
+        monkeypatch.setattr(inverse, "length_spectrum", lambda *a, **k: LengthSpectrum())
+        if exhausted == "unmatched_conical":
+            assert inverse._unmatched_peaks(self.TRAP, peaks, 0.05, 12) == []
+            monkeypatch.setattr(billiards, "DEFAULT_NODE_BUDGET", 10)
+        else:
+            monkeypatch.setattr(inverse, "unmatched_conical", lambda polygon, times, tol: times)
+            monkeypatch.setattr(inverse, "length_spectrum", partial)
+        assert inverse._unmatched_peaks(self.TRAP, peaks, 0.05, 12) == left
 
-    @pytest.mark.parametrize("broken", ["length_spectrum", "enumerate_orbits"])
+    @pytest.mark.parametrize("broken", ["unmatched_conical", "length_spectrum"])
     def test_other_errors_propagate(self, monkeypatch, broken):
         def fails(*args, **kwargs):
             raise DomainError("broken enumeration")
 
         # pass 1 finds nothing, so pass 2 runs
-        monkeypatch.setattr(inverse, "length_spectrum", lambda *a, **k: LengthSpectrum())
+        monkeypatch.setattr(inverse, "unmatched_conical", lambda polygon, times, tol: times)
         monkeypatch.setattr(inverse, broken, fails)
         with pytest.raises(DomainError):
             inverse._unmatched_peaks(self.TRAP, self.peaks(2.001, 3.5), 0.05, 12)
+
+    def test_conical_pass_starts_no_worker(self, monkeypatch):
+        def no_pool(tasks):
+            raise AssertionError("the conical pass reached the worker pool")
+
+        monkeypatch.setattr(workers, "executor", no_pool)
+        assert inverse._unmatched_peaks(self.TRAP, self.peaks(3.5, 2.001), 0.05, 12) == []
 
 
 # scripted peak times of TestDecisionWalk: an l_F read at 1.0 opens the

@@ -14,7 +14,9 @@ Rewrite the file with `PYTHONPATH=src python tests/test_orbit_records.py`
 only when the enumeration's output is meant to change.
 
 The same shapes check that the searches give the same bytes whether their
-start walks run on the worker pool or in-process.
+start walks run on the worker pool or in-process, that length_spectrum is
+what it is defined as, and that unmatched_conical scores times as the
+conical lengths of length_spectrum do.
 """
 
 import hashlib
@@ -26,7 +28,13 @@ import numpy as np
 import pytest
 
 from trapspec import workers
-from trapspec.billiards import enumerate_orbits, find_generalized_diagonals, length_spectrum
+from trapspec.billiards import (
+    LengthSpectrum,
+    enumerate_orbits,
+    find_generalized_diagonals,
+    length_spectrum,
+    unmatched_conical,
+)
 from trapspec.geometry import Polygon, new_trapezoid, random_trapezoid, vertices
 
 RECORDS = Path(__file__).resolve().parent / "data" / "orbit_records.json"
@@ -124,6 +132,40 @@ def test_pool_matches_one_core(name, monkeypatch):
     pooled = _outputs(poly, lmax)
     monkeypatch.setattr(workers, "cores", lambda: 1)
     assert _outputs(poly, lmax) == pooled
+
+
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_length_spectrum_is_its_definition(name):
+    # the orbits and the closed chains, sorted by length, lengths within 1e-9
+    # relative of the last entry merged into it
+    poly, lmax = SHAPES[name]
+    chains = [c for c in find_generalized_diagonals(poly, lmax) if c.closed]
+    orbits = sorted(enumerate_orbits(poly, lmax) + chains, key=lambda o: o.length)
+    want = LengthSpectrum()
+    for o in orbits:
+        if want.entries and abs(o.length - want.entries[-1][0]) <= 1e-9 * max(o.length, 1.0):
+            want.entries[-1][1].append(o)
+        else:
+            want.entries.append((o.length, [o]))
+    assert length_spectrum(poly, lmax).to_json_lines() == want.to_json_lines()
+
+
+def test_conical_matcher_scores_like_length_spectrum():
+    # every third length of each shape's spectrum, conical or not, and two
+    # spurious times, against the conical lengths length_spectrum finds at
+    # period 1, where no reflection word closes
+    rng = np.random.default_rng(34)
+    matched = left = 0
+    for name, (poly, lmax) in SHAPES.items():
+        times = length_spectrum(poly, 0.75 * lmax, period_max=6).lengths[::3].tolist()
+        times += rng.uniform(0.2, 0.75 * lmax, 2).tolist()
+        for tol in (0.01, 0.05, 0.3):
+            conical = length_spectrum(poly, max(times) + tol, period_max=1).lengths
+            want = [t for t in times if np.min(np.abs(conical - t), initial=np.inf) > tol]
+            assert unmatched_conical(poly, times, tol) == want, (name, tol)
+            matched += len(times) - len(want)
+            left += len(want)
+    assert matched and left
 
 
 if __name__ == "__main__":
